@@ -5,11 +5,22 @@ Handles 0 and 1 are the reserved terminals.  All operations are memoized in
 a store-global cache keyed by operand handles.  Structural equality of the
 represented Boolean functions is therefore handle equality.
 
+The recursions are built once, not on every call: one and/or/xor apply
+body, ``negate`` and ``var_set`` once per store, and the ``exists`` /
+``and_exists`` pair once per quantified variable set.  They are closures
+over the store's node arrays, unique table and memo cache, never over the
+store itself.  They look an existing node up in the unique table directly
+and call the node allocator only on a miss.  The quantifier cores fuse the
+disjunction of a quantified level: they call the OR core directly and skip
+the else-branch once the then-branch is ``TRUE`` (Brace, Rudell & Bryant,
+"Efficient Implementation of a BDD Package", DAC 1990).
+
 Long-running searches can reclaim dead nodes with
 :meth:`NodeStore.collect_garbage`, which sweeps everything unreachable
 from a caller-supplied root set and recycles the freed table slots; the
 operation cache is cleared in the same stroke, so stale handles can never
-resurface through a memo hit.
+resurface through a memo hit.  The cores hold on to the store's
+containers, so those are cleared in place and never rebound.
 """
 
 from __future__ import annotations
@@ -28,13 +39,12 @@ _TERMINAL_VAR = 1 << 60
 _OP_AND = 0
 _OP_OR = 1
 _OP_XOR = 2
-_OP_IFF = 3
 _OP_NOT = 4
 _OP_EXISTS = 5
 _OP_AND_EXISTS = 6
 _OP_SUPPORT = 7
-_OP_FIXED = 8
-_OP_SIZE = 9
+
+_NO_VARS: frozenset[int] = frozenset()
 
 
 class NodeLimitExceeded(Exception):
@@ -45,11 +55,170 @@ class OrderingViolation(Exception):
     """A child node's variable does not strictly follow its parent's."""
 
 
+def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
+    """Build one store's recursions as closures over its containers.
+
+    Returns the node allocator, the and/or/xor apply cores, the negation
+    and support cores, and a factory for the quantifier cores of one
+    variable set.
+    """
+    # With the checks on, every node goes through mk so that each one is
+    # checked; otherwise a unique-table hit skips the call.
+    probe = {} if debug_checks else unique
+
+    def mk(v: int, t: int, f: int) -> int:
+        if t == f:
+            return t
+        if debug_checks and (var[t] <= v or var[f] <= v):
+            raise OrderingViolation(f"children of v{v} not strictly below it")
+        key = (v, t, f)
+        r = unique.get(key)
+        if r is None:
+            if free:
+                r = free.pop()
+                var[r] = v
+                hi[r] = t
+                lo[r] = f
+            else:
+                r = len(var)
+                if node_limit is not None and r - 2 >= node_limit:
+                    raise NodeLimitExceeded(f"node ceiling {node_limit} reached")
+                var.append(v)
+                hi.append(t)
+                lo.append(f)
+            unique[key] = r
+        return r
+
+    def binary(op: int, unit: int, zero: int, idempotent: bool):
+        """Apply core for a commutative operator.
+
+        unit is its identity element, zero its absorbing element (-1 for
+        none), and idempotent says whether a op a is a rather than FALSE.
+        XOR with TRUE needs no case of its own: it recurses to the
+        negation.
+        """
+
+        def rec(a: int, b: int) -> int:
+            if a == unit:
+                return b
+            if b == unit:
+                return a
+            if a == zero or b == zero:
+                return zero
+            if a == b:
+                return a if idempotent else FALSE
+            if a > b:
+                a, b = b, a
+            key = (op, a, b)
+            r = cache.get(key)
+            if r is not None:
+                return r
+            va, vb = var[a], var[b]
+            if va == vb:
+                v, t, f = va, rec(hi[a], hi[b]), rec(lo[a], lo[b])
+            elif va < vb:
+                v, t, f = va, rec(hi[a], b), rec(lo[a], b)
+            else:
+                v, t, f = vb, rec(hi[b], a), rec(lo[b], a)
+            r = t if t == f else (probe.get((v, t, f)) or mk(v, t, f))
+            cache[key] = r
+            return r
+
+        return rec
+
+    and_ = binary(_OP_AND, TRUE, FALSE, True)
+    or_ = binary(_OP_OR, FALSE, TRUE, True)
+    xor = binary(_OP_XOR, FALSE, -1, False)
+
+    def negate(a: int) -> int:
+        if a <= 1:
+            return 1 - a
+        key = (_OP_NOT, a)
+        r = cache.get(key)
+        if r is None:
+            v, t, f = var[a], negate(hi[a]), negate(lo[a])
+            # a is reduced, so its negated children differ too
+            r = probe.get((v, t, f)) or mk(v, t, f)
+            cache[key] = r
+        return r
+
+    def support(a: int) -> frozenset[int]:
+        if a <= 1:
+            return _NO_VARS
+        key = (_OP_SUPPORT, a)
+        r = cache.get(key)
+        if r is None:
+            r = support(hi[a]) | support(lo[a]) | {var[a]}
+            cache[key] = r
+        return r
+
+    def quantifiers(fs: frozenset[int], vid: int):
+        """The exists and and_exists cores for the variable set fs."""
+        # terminals are labelled above every variable, so they stop the
+        # descent too; with fs empty every handle does
+        top = max(fs, default=-1)
+
+        def exists(a: int) -> int:
+            v = var[a]
+            if v > top:
+                return a
+            key = (_OP_EXISTS, a, vid)
+            r = cache.get(key)
+            if r is not None:
+                return r
+            t = exists(hi[a])
+            if v in fs:
+                r = TRUE if t == TRUE else or_(t, exists(lo[a]))
+            else:
+                f = exists(lo[a])
+                r = t if t == f else (probe.get((v, t, f)) or mk(v, t, f))
+            cache[key] = r
+            return r
+
+        def and_exists(a: int, b: int) -> int:
+            if a == FALSE or b == FALSE:
+                return FALSE
+            if a == TRUE:
+                return exists(b)
+            if b == TRUE or a == b:
+                return exists(a)
+            if a > b:
+                a, b = b, a
+            va, vb = var[a], var[b]
+            v = va if va < vb else vb
+            if v > top:
+                # no quantified variable can appear below here
+                return and_(a, b)
+            key = (_OP_AND_EXISTS, a, b, vid)
+            r = cache.get(key)
+            if r is not None:
+                return r
+            if va == vb:
+                ta, fa, tb, fb = hi[a], lo[a], hi[b], lo[b]
+            elif va < vb:
+                ta, fa, tb, fb = hi[a], lo[a], b, b
+            else:
+                ta, fa, tb, fb = a, a, hi[b], lo[b]
+            t = and_exists(ta, tb)
+            if v in fs:
+                r = TRUE if t == TRUE else or_(t, and_exists(fa, fb))
+            else:
+                f = and_exists(fa, fb)
+                r = t if t == f else (probe.get((v, t, f)) or mk(v, t, f))
+            cache[key] = r
+            return r
+
+        return exists, and_exists
+
+    return mk, and_, or_, xor, negate, support, quantifiers
+
+
 class NodeStore:
     """Unique table, operation caches and variable allocator for one solve.
 
     A store and everything referencing it belong to a single thread of
-    control; there is no internal synchronization.
+    control; there is no internal synchronization.  node_limit and
+    debug_checks are fixed when the store is made.
     """
 
     def __init__(self, node_limit: int | None = None, debug_checks: bool = False):
@@ -60,11 +229,24 @@ class NodeStore:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._free: list[int] = []
         self._cache: dict = {}
-        self._vset_ids: dict[frozenset[int], int] = {}
-        self._vsets: list[frozenset[int]] = []
         self._num_vars = 0
         self.node_limit = node_limit
         self.debug_checks = debug_checks
+        (
+            self._mk,
+            self._and,
+            self._or,
+            self._xor,
+            self._not,
+            self._support,
+            self._new_quantifiers,
+        ) = _build_kernel(
+            self._var, self._hi, self._lo, self._unique, self._free,
+            self._cache, node_limit, debug_checks,
+        )
+        # quantified variable set -> its (exists, and_exists) cores; the
+        # insertion index is the set's id in memo keys
+        self._quantifier_cores: dict[frozenset[int], tuple] = {}
 
     # ------------------------------------------------------------------
     # variables and nodes
@@ -119,28 +301,7 @@ class NodeStore:
 
     def mk_node(self, v: int, t: int, f: int) -> int:
         """Return the unique reduced node for (v, t, f)."""
-        if t == f:
-            return t
-        if self.debug_checks and (self._var[t] <= v or self._var[f] <= v):
-            raise OrderingViolation(f"children of v{v} not strictly below it")
-        key = (v, t, f)
-        r = self._unique.get(key)
-        if r is None:
-            var = self._var
-            if self._free:
-                r = self._free.pop()
-                var[r] = v
-                self._hi[r] = t
-                self._lo[r] = f
-            else:
-                r = len(var)
-                if self.node_limit is not None and r - 2 >= self.node_limit:
-                    raise NodeLimitExceeded(f"node ceiling {self.node_limit} reached")
-                var.append(v)
-                self._hi.append(t)
-                self._lo.append(f)
-            self._unique[key] = r
-        return r
+        return self._mk(v, t, f)
 
     def var_of(self, a: int) -> int:
         return self._var[a]
@@ -153,112 +314,28 @@ class NodeStore:
 
     def literal(self, v: int, positive: bool = True) -> int:
         if positive:
-            return self.mk_node(v, TRUE, FALSE)
-        return self.mk_node(v, FALSE, TRUE)
+            return self._mk(v, TRUE, FALSE)
+        return self._mk(v, FALSE, TRUE)
 
-    def _vset_id(self, vs: Iterable[int]) -> int:
+    def _quantifiers(self, vs: Iterable[int]) -> tuple:
         fs = vs if isinstance(vs, frozenset) else frozenset(vs)
-        vid = self._vset_ids.get(fs)
-        if vid is None:
-            vid = len(self._vsets)
-            self._vsets.append(fs)
-            self._vset_ids[fs] = vid
-        return vid
+        cores = self._quantifier_cores.get(fs)
+        if cores is None:
+            cores = self._new_quantifiers(fs, len(self._quantifier_cores))
+            self._quantifier_cores[fs] = cores
+        return cores
 
     # ------------------------------------------------------------------
     # Boolean combinators
 
     def apply_and(self, a: int, b: int) -> int:
-        cache = self._cache
-        var, hi, lo, mk = self._var, self._hi, self._lo, self.mk_node
-
-        def rec(a: int, b: int) -> int:
-            if a == 0 or b == 0:
-                return 0
-            if a == 1:
-                return b
-            if b == 1 or a == b:
-                return a
-            if a > b:
-                a, b = b, a
-            key = (_OP_AND, a, b)
-            r = cache.get(key)
-            if r is not None:
-                return r
-            va, vb = var[a], var[b]
-            if va == vb:
-                r = mk(va, rec(hi[a], hi[b]), rec(lo[a], lo[b]))
-            elif va < vb:
-                r = mk(va, rec(hi[a], b), rec(lo[a], b))
-            else:
-                r = mk(vb, rec(hi[b], a), rec(lo[b], a))
-            cache[key] = r
-            return r
-
-        return rec(a, b)
+        return self._and(a, b)
 
     def apply_or(self, a: int, b: int) -> int:
-        cache = self._cache
-        var, hi, lo, mk = self._var, self._hi, self._lo, self.mk_node
-
-        def rec(a: int, b: int) -> int:
-            if a == 1 or b == 1:
-                return 1
-            if a == 0:
-                return b
-            if b == 0 or a == b:
-                return a
-            if a > b:
-                a, b = b, a
-            key = (_OP_OR, a, b)
-            r = cache.get(key)
-            if r is not None:
-                return r
-            va, vb = var[a], var[b]
-            if va == vb:
-                r = mk(va, rec(hi[a], hi[b]), rec(lo[a], lo[b]))
-            elif va < vb:
-                r = mk(va, rec(hi[a], b), rec(lo[a], b))
-            else:
-                r = mk(vb, rec(hi[b], a), rec(lo[b], a))
-            cache[key] = r
-            return r
-
-        return rec(a, b)
+        return self._or(a, b)
 
     def apply_xor(self, a: int, b: int) -> int:
-        cache = self._cache
-        var, hi, lo, mk = self._var, self._hi, self._lo, self.mk_node
-        neg = self.negate
-
-        def rec(a: int, b: int) -> int:
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            if a == 1:
-                return neg(b)
-            if b == 1:
-                return neg(a)
-            if a == b:
-                return 0
-            if a > b:
-                a, b = b, a
-            key = (_OP_XOR, a, b)
-            r = cache.get(key)
-            if r is not None:
-                return r
-            va, vb = var[a], var[b]
-            if va == vb:
-                r = mk(va, rec(hi[a], hi[b]), rec(lo[a], lo[b]))
-            elif va < vb:
-                r = mk(va, rec(hi[a], b), rec(lo[a], b))
-            else:
-                r = mk(vb, rec(hi[b], a), rec(lo[b], a))
-            cache[key] = r
-            return r
-
-        return rec(a, b)
+        return self._xor(a, b)
 
     def apply_iff(self, a: int, b: int) -> int:
         return self.negate(self.apply_xor(a, b))
@@ -276,23 +353,7 @@ class NodeStore:
         return fn(a, b)
 
     def negate(self, a: int) -> int:
-        cache = self._cache
-        var, hi, lo, mk = self._var, self._hi, self._lo, self.mk_node
-
-        def rec(a: int) -> int:
-            if a == 0:
-                return 1
-            if a == 1:
-                return 0
-            key = (_OP_NOT, a)
-            r = cache.get(key)
-            if r is not None:
-                return r
-            r = mk(var[a], rec(hi[a]), rec(lo[a]))
-            cache[key] = r
-            return r
-
-        return rec(a)
+        return self._not(a)
 
     def ite(self, c: int, t: int, f: int) -> int:
         return self.apply_or(self.apply_and(c, t), self.apply_and(self.negate(c), f))
@@ -302,105 +363,18 @@ class NodeStore:
 
     def exists(self, vs: Iterable[int], a: int) -> int:
         """Existentially quantify every variable of vs out of a."""
-        fs = vs if isinstance(vs, frozenset) else frozenset(vs)
-        if not fs:
-            return a
-        vid = self._vset_id(fs)
-        top = max(fs)
-        cache = self._cache
-        var, hi, lo, mk = self._var, self._hi, self._lo, self.mk_node
-        apply_or = self.apply_or
-
-        def rec(a: int) -> int:
-            if a <= 1:
-                return a
-            v = var[a]
-            if v > top:
-                return a
-            key = (_OP_EXISTS, a, vid)
-            r = cache.get(key)
-            if r is not None:
-                return r
-            if v in fs:
-                r = apply_or(rec(hi[a]), rec(lo[a]))
-            else:
-                r = mk(v, rec(hi[a]), rec(lo[a]))
-            cache[key] = r
-            return r
-
-        return rec(a)
+        return self._quantifiers(vs)[0](a)
 
     def and_exists(self, vs: Iterable[int], a: int, b: int) -> int:
         """Compute exists(vs, a AND b) without building the full conjunction."""
-        fs = vs if isinstance(vs, frozenset) else frozenset(vs)
-        if not fs:
-            return self.apply_and(a, b)
-        vid = self._vset_id(fs)
-        top = max(fs)
-        cache = self._cache
-        var, hi, lo, mk = self._var, self._hi, self._lo, self.mk_node
-        apply_or = self.apply_or
-        exists = self.exists
-
-        def rec(a: int, b: int) -> int:
-            if a == 0 or b == 0:
-                return 0
-            if a == 1 and b == 1:
-                return 1
-            if a == 1:
-                return exists(fs, b)
-            if b == 1:
-                return exists(fs, a)
-            if a == b:
-                return exists(fs, a)
-            if a > b:
-                a, b = b, a
-            va, vb = var[a], var[b]
-            v = va if va < vb else vb
-            if v > top:
-                # no quantified variable can appear below here
-                return self.apply_and(a, b)
-            key = (_OP_AND_EXISTS, a, b, vid)
-            r = cache.get(key)
-            if r is not None:
-                return r
-            if va == vb:
-                ta, ea, tb, eb = hi[a], lo[a], hi[b], lo[b]
-            elif va < vb:
-                ta, ea, tb, eb = hi[a], lo[a], b, b
-            else:
-                ta, ea, tb, eb = a, a, hi[b], lo[b]
-            t = rec(ta, tb)
-            if t == 1 and v in fs:
-                r = 1
-            else:
-                e = rec(ea, eb)
-                r = apply_or(t, e) if v in fs else mk(v, t, e)
-            cache[key] = r
-            return r
-
-        return rec(a, b)
+        return self._quantifiers(vs)[1](a, b)
 
     # ------------------------------------------------------------------
     # queries
 
     def var_set(self, a: int) -> frozenset[int]:
         """Set of variables labelling internal nodes of a."""
-        cache = self._cache
-        var, hi, lo = self._var, self._hi, self._lo
-
-        def rec(a: int) -> frozenset[int]:
-            if a <= 1:
-                return frozenset()
-            key = (_OP_SUPPORT, a)
-            r = cache.get(key)
-            if r is not None:
-                return r
-            r = rec(hi[a]) | rec(lo[a]) | {var[a]}
-            cache[key] = r
-            return r
-
-        return rec(a)
+        return self._support(a)
 
     def size(self, a: int) -> int:
         """Number of internal (non-terminal) nodes reachable from a."""
@@ -500,10 +474,6 @@ class NodeStore:
 
     # ------------------------------------------------------------------
     # bulk helpers
-
-    def node_count(self) -> int:
-        """Total nodes ever created in this store (including terminals)."""
-        return len(self._var)
 
     def conjoin(self, nodes: Iterable[int]) -> int:
         r = TRUE

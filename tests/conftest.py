@@ -51,3 +51,16 @@ def models_of(store, a, var_list):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def exists_table(table, qs, nvars):
+    """Truth table of exists(qs, f), given the truth table of f.
+
+    Row i of a table (as built by truth_table) assigns variable v the bit
+    1 << (nvars - 1 - v) of i.
+    """
+    keep = ~sum(1 << (nvars - 1 - v) for v in qs)
+    return tuple(
+        any(table[j] for j in range(len(table)) if j & keep == i & keep)
+        for i in range(len(table))
+    )

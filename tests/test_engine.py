@@ -1,12 +1,14 @@
+import gc
 import itertools
 import operator
 import random
+import weakref
 
 import pytest
 
 from bddsets.engine import FALSE, TRUE, NodeStore, NodeLimitExceeded, OrderingViolation
 
-from conftest import models_of, random_bdd, truth_table
+from conftest import exists_table, models_of, random_bdd, truth_table
 
 OPS = {
     "and": operator.and_,
@@ -288,3 +290,131 @@ def test_collect_garbage_then_equivalence(store, rng):
     assert truth_table(store, conj, nvars) == truth_table(
         store, rebuilt, nvars
     )
+
+
+def _check_ops(store, rng, nvars, qs, trials=30):
+    """Random ops through the store's cores, checked against truth tables."""
+    for _ in range(trials):
+        a = random_bdd(store, nvars, rng)
+        b = random_bdd(store, nvars, rng)
+        ta, tb = truth_table(store, a, nvars), truth_table(store, b, nvars)
+        for op in ("and", "or", "xor"):
+            r = store.apply_binary(op, a, b)
+            assert truth_table(store, r, nvars) == tuple(map(OPS[op], ta, tb))
+        conj = tuple(map(OPS["and"], ta, tb))
+        assert truth_table(store, store.negate(a), nvars) == tuple(not x for x in ta)
+        assert truth_table(store, store.exists(qs, a), nvars) == exists_table(ta, qs, nvars)
+        assert truth_table(store, store.and_exists(qs, a, b), nvars) == exists_table(
+            conj, qs, nvars
+        )
+
+
+def test_cores_survive_garbage_collection(store, rng):
+    # the cores are built once per store and per variable set, before the
+    # collection; they must keep working on the swept containers
+    nvars = 5
+    store.new_vars(nvars)
+    qs = frozenset({1, 3})
+    a = random_bdd(store, nvars, rng)
+    b = random_bdd(store, nvars, rng)
+    conj = store.apply_and(a, b)
+    proj = store.and_exists(qs, a, b)
+    for _ in range(100):
+        random_bdd(store, nvars, rng)  # garbage
+    assert store.collect_garbage([a, b, conj, proj]) > 0
+    store.audit()
+    # recomputed after the cache is gone, the kept results come back as
+    # the same canonical handles
+    assert store.apply_and(b, a) == conj
+    assert store.and_exists(qs, a, b) == proj
+    assert store.exists(qs, conj) == proj
+    _check_ops(store, rng, nvars, qs)
+    store.audit()
+
+
+def test_cores_survive_maintain_cache_clear(store, rng):
+    from bddsets.propagate import State
+    from bddsets.sets import ConstraintBdd, Universe, alloc_set_vars, card
+
+    (x,) = alloc_set_vars(store, Universe(5), ["x"])
+    nvars = len(x.bits)
+    state = State(store, [x], [ConstraintBdd(card(store, x.bits, 2, 2), (x,))])
+    qs = frozenset(x.bits[1:3])
+    a = random_bdd(store, nvars, rng)
+    b = random_bdd(store, nvars, rng)
+    conj = store.apply_and(a, b)
+    proj = store.and_exists(qs, a, b)
+    cache = store._cache
+    state.cache_clear_trigger = 0
+    state.maintain()
+    assert store._cache is cache and not cache
+    assert store.apply_and(a, b) == conj
+    assert store.and_exists(qs, a, b) == proj
+    _check_ops(store, rng, nvars, qs)
+    store.audit()
+
+
+def test_debug_checks_give_the_same_handles():
+    # with the checks on every node goes through mk_node; the handles must
+    # match a store whose cores take unique-table hits inline
+    nvars = 5
+    stores = [NodeStore(debug_checks=True), NodeStore()]
+    seqs = []
+    for s in stores:
+        s.new_vars(nvars)
+        rng = random.Random(7)
+        out = []
+        for i in range(150):
+            a = random_bdd(s, nvars, rng)
+            b = random_bdd(s, nvars, rng)
+            qs = frozenset(v for v in range(nvars) if rng.random() < 0.4)
+            out += [
+                a,
+                b,
+                s.apply_and(a, b),
+                s.apply_or(a, b),
+                s.apply_xor(a, b),
+                s.negate(a),
+                s.exists(qs, a),
+                s.and_exists(qs, a, b),
+            ]
+            if i == 75:
+                out.append(s.collect_garbage(out[-8:]))
+        seqs.append(out)
+    assert seqs[0] == seqs[1]
+
+
+def test_node_limit_inside_and_exists():
+    from bddsets.sets import card
+
+    def inputs(s):
+        bits = s.new_vars(10)
+        return card(s, bits, 5, 5), card(s, bits[::2], 1, 2), frozenset(bits[:5])
+
+    free = NodeStore()
+    a, b, qs = inputs(free)
+    needed = free.node_count()
+    free.and_exists(qs, a, b)
+    assert free.node_count() > needed + 1
+    limited = NodeStore(node_limit=needed + 1, debug_checks=True)
+    a, b, qs = inputs(limited)
+    tables = [truth_table(limited, x, 10) for x in (a, b)]
+    with pytest.raises(NodeLimitExceeded):
+        limited.and_exists(qs, a, b)
+    limited.audit()
+    assert [truth_table(limited, x, 10) for x in (a, b)] == tables
+
+
+def test_store_freed_without_the_cycle_collector():
+    # the cores close over the store's containers, not over the store, so
+    # a dropped store is freed at once instead of waiting for gc
+    store = NodeStore()
+    x, y = (store.literal(v) for v in store.new_vars(2))
+    store.and_exists({0}, store.apply_or(x, y), store.negate(x))
+    ref = weakref.ref(store)
+    gc.disable()
+    try:
+        del store
+        assert ref() is None
+    finally:
+        gc.enable()

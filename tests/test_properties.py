@@ -1,0 +1,106 @@
+"""Property tests: kernel operations against truth tables.
+
+Each example is a random program over four variables, starting from
+the terminals and the eight literals.  Every result is
+checked against the truth table computed from its operands' tables, and
+functions with equal tables must share one handle.  Garbage collections
+that drop random results are interleaved.  After each one, every earlier
+op whose operands survived but whose result was swept is done again, so a
+stale handle coming back through the op cache, or a core that lost track
+of the store's containers, shows as a wrong table, a swept node or a
+second handle for one function.
+"""
+
+from functools import partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bddsets.engine import FALSE, TRUE, NodeStore
+
+from conftest import exists_table, truth_table
+
+NVARS = 4
+
+# few, fixed examples: the suite's run time barely moves and never flakes
+PROPERTY_SETTINGS = settings(
+    max_examples=40, deadline=None, database=None, derandomize=True
+)
+
+# an operand counts back from the newest pool entry
+operand = st.integers(min_value=0, max_value=15)
+var_sets = st.frozensets(st.integers(min_value=0, max_value=NVARS - 1))
+step = st.one_of(
+    st.tuples(st.sampled_from(["and", "or", "xor"]), operand, operand),
+    st.tuples(st.just("not"), operand),
+    st.tuples(st.just("exists"), var_sets, operand),
+    st.tuples(st.just("and_exists"), var_sets, operand, operand),
+    # collect garbage, dropping these pool entries from the roots
+    st.tuples(st.just("gc"), st.frozensets(operand, min_size=1, max_size=4)),
+)
+
+TABLE_OPS = {
+    "and": lambda x, y: x and y,
+    "or": lambda x, y: x or y,
+    "xor": lambda x, y: x != y,
+}
+
+
+def check(store, pool, h, want):
+    assert truth_table(store, h, NVARS) == want
+    # every node of the result is live, not a swept slot
+    assert all(store._unique.get((v, t, f)) == n for n, v, t, f in store.iter_nodes(h))
+    assert all(g == h for g, t in pool if t == want), "one function, two handles"
+
+
+def run_program(store, steps):
+    """Apply steps to a pool of (handle, table) pairs, checking each result."""
+    base = [FALSE, TRUE] + [store.literal(v, p) for v in store.new_vars(NVARS) for p in (True, False)]
+    pool = [(h, truth_table(store, h, NVARS)) for h in base]
+    done = []  # (operand handles, result, call, expected table) of each op
+
+    def pick(i):
+        return pool[-1 - i % len(pool)]
+
+    for kind, *args in steps:
+        if kind == "gc":
+            drop = {len(pool) - 1 - i % len(pool) for i in args[0]} - set(range(len(base)))
+            pool[:] = [p for i, p in enumerate(pool) if i not in drop]
+            store.collect_garbage([h for h, _ in pool])
+            store.audit()
+            assert all(truth_table(store, h, NVARS) == t for h, t in pool)
+            live = {h for h, _ in pool}
+            # swept handles get recycled, so forget the ops that used them
+            done[:] = [d for d in done if live.issuperset(d[0])]
+            for _, r, call, want in done:
+                if r not in live:
+                    check(store, pool, call(), want)
+            continue
+        if kind == "not":
+            (a, ta) = pick(args[0])
+            operands, call, want = (a,), partial(store.negate, a), tuple(not x for x in ta)
+        elif kind == "exists":
+            qs, (a, ta) = args[0], pick(args[1])
+            operands, call = (a,), partial(store.exists, qs, a)
+            want = exists_table(ta, qs, NVARS)
+        elif kind == "and_exists":
+            qs, (a, ta), (b, tb) = args[0], pick(args[1]), pick(args[2])
+            operands, call = (a, b), partial(store.and_exists, qs, a, b)
+            want = exists_table(tuple(x and y for x, y in zip(ta, tb)), qs, NVARS)
+        else:
+            (a, ta), (b, tb) = pick(args[0]), pick(args[1])
+            operands, call = (a, b), partial(getattr(store, f"apply_{kind}"), a, b)
+            want = tuple(TABLE_OPS[kind](x, y) for x, y in zip(ta, tb))
+        h = call()
+        check(store, pool, h, want)
+        pool.append((h, want))
+        done.append((operands, h, call, want))
+    store.audit()
+
+
+@pytest.mark.parametrize("debug_checks", [False, True])
+@PROPERTY_SETTINGS
+@given(steps=st.lists(step, min_size=4, max_size=40))
+def test_kernel_ops_match_truth_tables_under_gc(debug_checks, steps):
+    run_program(NodeStore(debug_checks=debug_checks), steps)
