@@ -92,10 +92,11 @@ def split(store: NodeStore, a: int) -> tuple[int, int]:
     The remainder mentions no fixed variable, and the two parts together
     are never larger than the input.
     """
-    stick = fixed_vars(store, a)
-    if stick == TRUE:
+    lits = fixed_literals(store, a)
+    if not lits:
         return TRUE, a
-    rem = store.exists(store.var_set(stick), a)
+    stick = stick_of(store, lits)
+    rem = store.exists(frozenset(lits), a)
     if check_split_sizes:
         assert store.apply_and(stick, rem) == a
         assert store.size(stick) + store.size(rem) <= store.size(a)
@@ -161,17 +162,23 @@ def card_bounds(store: NodeStore, a: int, vs) -> int:
     return card(store, vs, l, u)
 
 
-def lex_lower(store: NodeStore, a: int, bs) -> int:
-    """BDD of "bit vector >= lexicographic minimum model of a".
+def _lex_bound(store: NodeStore, a: int, bs, lower: bool) -> int:
+    """One lexicographic bound of a over bits bs.
 
-    bs must be sorted in variable order and contain every variable of a.
-    The result has at most one node per bit.
+    The upper bound is the mirror image of the lower one: the same
+    recursion with every node's branches swapped, on the way down and in
+    the nodes it builds.
     """
     if a == FALSE:
         raise EmptyDomainError("empty domain has no lexicographic bounds")
     bs = tuple(bs)
     var, hi, lo = store._var, store._hi, store._lo
     mk = store.mk_node
+    if not lower:
+        hi, lo = lo, hi
+
+        def mk(b, t, f):
+            return store.mk_node(b, f, t)
 
     def rec(d, i):
         if i == len(bs) or d == TRUE:
@@ -190,29 +197,18 @@ def lex_lower(store: NodeStore, a: int, bs) -> int:
     return rec(a, 0)
 
 
+def lex_lower(store: NodeStore, a: int, bs) -> int:
+    """BDD of "bit vector >= lexicographic minimum model of a".
+
+    bs must be sorted in variable order and contain every variable of a.
+    The result has at most one node per bit.
+    """
+    return _lex_bound(store, a, bs, lower=True)
+
+
 def lex_upper(store: NodeStore, a: int, bs) -> int:
     """BDD of "bit vector <= lexicographic maximum model of a"."""
-    if a == FALSE:
-        raise EmptyDomainError("empty domain has no lexicographic bounds")
-    bs = tuple(bs)
-    var, hi, lo = store._var, store._hi, store._lo
-    mk = store.mk_node
-
-    def rec(d, i):
-        if i == len(bs) or d == TRUE:
-            return TRUE
-        if d == FALSE:
-            raise ValueError("unsatisfiable branch during lex extraction")
-        b = bs[i]
-        v = var[d]
-        if b > v:
-            raise ValueError("bs not sorted or missing a BDD variable")
-        if b == v and hi[d] == FALSE:
-            return mk(b, FALSE, rec(lo[d], i + 1))
-        r = rec(hi[d], i + 1) if b == v else rec(d, i + 1)
-        return mk(b, r, TRUE)
-
-    return rec(a, 0)
+    return _lex_bound(store, a, bs, lower=False)
 
 
 def lex_bounds(store: NodeStore, a: int, bs) -> int:

@@ -17,7 +17,7 @@ import time
 from dataclasses import replace
 
 from .engine import NodeLimitExceeded
-from .instances import InstanceError, load_instance, parse_instance, build_from_instance
+from .instances import InstanceError, parse_instance, build_from_instance
 from .models import build_hamming
 from .propagate import MODES, State
 from .search import Strategy, optimize_incremental, solve
@@ -146,8 +146,29 @@ def run(args, out=sys.stdout) -> int:
 
     emitter = _Emitter(args.fmt, out)
     build_start = time.perf_counter()
-    optimum = ""
-    peak_nodes = 0
+
+    def report(strategy, status, solutions, fails, nodes, optimum, peak_nodes, elapsed):
+        emitter.row(
+            "report",
+            REPORT_COLUMNS,
+            [
+                REPORT_VERSION,
+                parsed["problem"],
+                args.mode,
+                strategy.var_order,
+                strategy.value_order,
+                strategy.branch,
+                args.target,
+                STATUS_MARKS[status],
+                solutions,
+                fails,
+                nodes,
+                optimum,
+                peak_nodes,
+                f"{elapsed:.3f}",
+            ],
+        )
+        return 0
 
     if args.target == "optimize":
         if parsed["problem"] != "hamming":
@@ -169,60 +190,25 @@ def run(args, out=sys.stdout) -> int:
             best, status, fails = optimize_incremental(build, time_limit=time_limit)
         except NodeLimitExceeded:
             best, status, fails = None, "nodelimit", 0
-        elapsed = time.perf_counter() - t0
-        peak_nodes = max((s.node_count() for s in stores), default=node_limit)
-        strategy = strategy_holder.get("s") or _resolve_strategy(Strategy(), args)
-        if best is not None:
-            optimum = best[0]
-        solutions = 1 if best is not None else 0
-        emitter.row(
-            "report",
-            REPORT_COLUMNS,
-            [
-                REPORT_VERSION,
-                parsed["problem"],
-                args.mode,
-                strategy.var_order,
-                strategy.value_order,
-                strategy.branch,
-                args.target,
-                STATUS_MARKS[status],
-                solutions,
-                fails,
-                "",
-                optimum,
-                peak_nodes,
-                f"{elapsed:.3f}",
-            ],
+        return report(
+            strategy_holder.get("s") or _resolve_strategy(Strategy(), args),
+            status,
+            1 if best is not None else 0,
+            fails,
+            "",
+            best[0] if best is not None else "",
+            max((s.node_count() for s in stores), default=node_limit),
+            time.perf_counter() - t0,
         )
-        return 0
 
     try:
         model = build_from_instance(parsed, node_limit=node_limit)
     except NodeLimitExceeded:
         # the model itself blew the node ceiling before any search ran
-        strategy = _resolve_strategy(Strategy(), args)
-        emitter.row(
-            "report",
-            REPORT_COLUMNS,
-            [
-                REPORT_VERSION,
-                parsed["problem"],
-                args.mode,
-                strategy.var_order,
-                strategy.value_order,
-                strategy.branch,
-                args.target,
-                STATUS_MARKS["nodelimit"],
-                0,
-                0,
-                0,
-                "",
-                node_limit,
-                f"{time.perf_counter() - build_start:.3f}",
-            ],
+        return report(
+            _resolve_strategy(Strategy(), args), "nodelimit", 0, 0, 0, "",
+            node_limit, time.perf_counter() - build_start,
         )
-        return 0
     strategy = _resolve_strategy(model.strategy, args)
     state = State(model.store, model.vars, model.constraints, mode=args.mode)
 
@@ -246,29 +232,10 @@ def run(args, out=sys.stdout) -> int:
         time_limit=time_limit,
         on_step=on_step,
     )
-    elapsed = time.perf_counter() - t0
-    peak_nodes = model.store.node_count()
-    emitter.row(
-        "report",
-        REPORT_COLUMNS,
-        [
-            REPORT_VERSION,
-            parsed["problem"],
-            args.mode,
-            strategy.var_order,
-            strategy.value_order,
-            strategy.branch,
-            args.target,
-            STATUS_MARKS[res.status],
-            len(res.solutions),
-            res.fails,
-            res.nodes,
-            optimum,
-            peak_nodes,
-            f"{elapsed:.3f}",
-        ],
+    return report(
+        strategy, res.status, len(res.solutions), res.fails, res.nodes, "",
+        model.store.node_count(), time.perf_counter() - t0,
     )
-    return 0
 
 
 def main(argv=None) -> int:

@@ -18,9 +18,10 @@ the else-branch once the then-branch is ``TRUE`` (Brace, Rudell & Bryant,
 Long-running searches can reclaim dead nodes with
 :meth:`NodeStore.collect_garbage`, which sweeps everything unreachable
 from a caller-supplied root set and recycles the freed table slots; the
-operation cache is cleared in the same stroke, so stale handles can never
-resurface through a memo hit.  The cores hold on to the store's
-containers, so those are cleared in place and never rebound.
+operation cache and the quantifier cores are cleared in the same stroke
+(:meth:`NodeStore.clear_cache`), so stale handles can never resurface
+through a memo hit.  The cores hold on to the store's containers, so
+those are cleared in place and never rebound.
 """
 
 from __future__ import annotations
@@ -274,9 +275,9 @@ class NodeStore:
     def collect_garbage(self, roots: Iterable[int]) -> int:
         """Reclaim every node unreachable from roots; return the number freed.
 
-        The operation memo cache is cleared as well, since its entries may
-        name swept handles.  Callers must treat any handle not reachable
-        from roots as invalid afterwards.
+        The operation memo cache and the quantifier cores are cleared as
+        well, since memo entries may name swept handles.  Callers must
+        treat any handle not reachable from roots as invalid afterwards.
         """
         var, hi, lo = self._var, self._hi, self._lo
         live = bytearray(len(var))
@@ -296,21 +297,21 @@ class NodeStore:
             del self._unique[key]
             var[r] = -1  # poison: any parent check on a stale child fails
             self._free.append(r)
-        self._cache.clear()
+        self.clear_cache()
         return len(dead)
+
+    def clear_cache(self) -> None:
+        """Drop every memo entry and every quantifier core.
+
+        Both are cleared in place, since the cores hold the cache.  No
+        cached key survives, so the memo ids of new cores may restart at 0.
+        """
+        self._cache.clear()
+        self._quantifier_cores.clear()
 
     def mk_node(self, v: int, t: int, f: int) -> int:
         """Return the unique reduced node for (v, t, f)."""
         return self._mk(v, t, f)
-
-    def var_of(self, a: int) -> int:
-        return self._var[a]
-
-    def hi_of(self, a: int) -> int:
-        return self._hi[a]
-
-    def lo_of(self, a: int) -> int:
-        return self._lo[a]
 
     def literal(self, v: int, positive: bool = True) -> int:
         if positive:

@@ -77,19 +77,23 @@ def mul_bit(store: NodeStore, x: IntExpr, b: int) -> IntExpr:
     return tuple(store.apply_and(xi, b) for xi in x)
 
 
-def min_expr(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:
-    """Bitwise minimum via left/right decided-flag recurrences, MSB down."""
+def _extreme(store: NodeStore, x: IntExpr, y: IntExpr, smaller: bool) -> IntExpr:
+    """Bitwise min (smaller) or max via left/right decided-flag recurrences,
+    MSB down."""
     x, y = _common(x, y)
     left = FALSE   # x already known smaller
     right = FALSE  # y already known smaller
+    tie = store.apply_and if smaller else store.apply_or
     out = []
     for xi, yi in zip(x, y):
         undecided = store.apply_and(store.negate(left), store.negate(right))
+        # the output bit follows the chosen side once the order is decided
+        from_left, from_right = (xi, yi) if smaller else (yi, xi)
         m = store.disjoin(
             [
-                store.apply_and(left, xi),
-                store.apply_and(right, yi),
-                store.apply_and(undecided, store.apply_and(xi, yi)),
+                store.apply_and(left, from_left),
+                store.apply_and(right, from_right),
+                store.apply_and(undecided, tie(xi, yi)),
             ]
         )
         out.append(m)
@@ -102,32 +106,14 @@ def min_expr(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:
             store.apply_and(undecided, store.apply_and(xi, store.negate(yi))),
         )
     return tuple(out)
+
+
+def min_expr(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:
+    return _extreme(store, x, y, smaller=True)
 
 
 def max_expr(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:
-    x, y = _common(x, y)
-    left = FALSE
-    right = FALSE
-    out = []
-    for xi, yi in zip(x, y):
-        undecided = store.apply_and(store.negate(left), store.negate(right))
-        m = store.disjoin(
-            [
-                store.apply_and(left, yi),
-                store.apply_and(right, xi),
-                store.apply_and(undecided, store.apply_or(xi, yi)),
-            ]
-        )
-        out.append(m)
-        left = store.apply_or(
-            left,
-            store.apply_and(undecided, store.apply_and(store.negate(xi), yi)),
-        )
-        right = store.apply_or(
-            right,
-            store.apply_and(undecided, store.apply_and(xi, store.negate(yi))),
-        )
-    return tuple(out)
+    return _extreme(store, x, y, smaller=False)
 
 
 def monus(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:

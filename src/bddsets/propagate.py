@@ -16,26 +16,45 @@ the projection is kept:
 
 Sticks record exact information, so every mode may specialise constraints
 against them.  All propagators are monotone, hence the fixpoint reached
-is independent of queue order.  Domain changes are trailed so search can
+is independent of queue order.  Every change to a domain, a constraint or
+its active flag is trailed as (array, index, old value) so search can
 backtrack, and whole propagator runs are memoised on (constraint handle,
 scope domain handles) so revisiting a search node is nearly free.
+
+Precondition: each constraint's BDD mentions only bits of the variables
+in its scope.  State() checks this once and raises ValueError otherwise,
+so a projection onto one variable needs no further quantification.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .analysis import card_bounds, fixed_literals, lex_bounds, stick_of
+from .analysis import card_bounds, fixed_literals, lex_bounds, split
 from .engine import FALSE, TRUE, NodeStore
 
 MODES = ("domain", "bounds", "split", "card", "lex")
 
 _FAIL = ("fail",)  # cache marker
 
-_T_STICK = 0
-_T_REM = 1
-_T_CON = 2
-_T_ACTIVE = 3
+
+def _stray_bit(store: NodeStore, a: int, bits) -> int | None:
+    """A variable of a outside bits, or None if there is none.
+
+    A plain traversal: var_set would memoise one frozenset per node.
+    """
+    var, hi, lo = store._var, store._hi, store._lo
+    seen = set()
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        if x > 1 and x not in seen:
+            if var[x] not in bits:
+                return var[x]
+            seen.add(x)
+            stack.append(hi[x])
+            stack.append(lo[x])
+    return None
 
 
 class State:
@@ -62,6 +81,12 @@ class State:
             scope = tuple(self._index[id(v)] for v in c.scope)
             if bdd == FALSE:
                 raise ValueError("constraint is unsatisfiable at build time")
+            scope_bits = frozenset().union(*(self.bitsets[vi] for vi in scope))
+            stray = _stray_bit(store, bdd, scope_bits)
+            if stray is not None:
+                raise ValueError(
+                    f"constraint {c.name or c!r} mentions bit {stray} outside its scope"
+                )
             ci = len(self.cons)
             self.cons.append(bdd)
             self.scopes.append(scope)
@@ -75,6 +100,8 @@ class State:
         self.runs = 0
         self.cache_hits = 0
         self._gc_trigger = self.gc_node_trigger
+        # the abstraction of the remainder in card and lex modes
+        self._bound = {"card": card_bounds, "lex": lex_bounds}.get(mode)
 
     # -- trail ---------------------------------------------------------
 
@@ -84,34 +111,19 @@ class State:
     def undo(self, mark: int):
         trail = self.trail
         while len(trail) > mark:
-            kind, idx, old = trail.pop()
-            if kind == _T_STICK:
-                self.stick[idx] = old
-            elif kind == _T_REM:
-                self.rem[idx] = old
-            elif kind == _T_CON:
-                self.cons[idx] = old
-            else:
-                self.active[idx] = old
+            array, idx, old = trail.pop()
+            array[idx] = old
         self.queue.clear()
         self._inq.clear()
 
-    def _set_stick(self, vi, bdd):
-        self.trail.append((_T_STICK, vi, self.stick[vi]))
-        self.stick[vi] = bdd
-
-    def _set_rem(self, vi, bdd):
-        self.trail.append((_T_REM, vi, self.rem[vi]))
-        self.rem[vi] = bdd
-
-    def _set_con(self, ci, bdd):
-        self.trail.append((_T_CON, ci, self.cons[ci]))
-        self.cons[ci] = bdd
-
-    def _retire(self, ci):
-        if self.active[ci]:
-            self.trail.append((_T_ACTIVE, ci, True))
-            self.active[ci] = False
+    def _set(self, array, idx, value) -> bool:
+        """Trail and store array[idx] = value; True if it changed."""
+        old = array[idx]
+        if old == value:
+            return False
+        self.trail.append((array, idx, old))
+        array[idx] = value
+        return True
 
     # -- memory maintenance --------------------------------------------
 
@@ -125,9 +137,8 @@ class State:
         roots = set(self.stick)
         roots.update(self.rem)
         roots.update(self.cons)
-        for kind, _, old in self.trail:
-            if kind != _T_ACTIVE:
-                roots.add(old)
+        active = self.active
+        roots.update(old for array, _, old in self.trail if array is not active)
         for v in self.vars:
             expr = getattr(v, "expr", None)
             if expr:
@@ -146,7 +157,7 @@ class State:
             store.collect_garbage(self.gc_roots())
             self._gc_trigger = max(self.gc_node_trigger, 2 * store.live_node_count())
         elif len(store._cache) > self.cache_clear_trigger:
-            store._cache.clear()
+            store.clear_cache()
 
     # -- inspection ----------------------------------------------------
 
@@ -195,45 +206,32 @@ class State:
 
     # -- domain updates ------------------------------------------------
 
-    def _absorb(self, vi, delta):
+    def _put(self, vi, stick, rem):
+        """Set variable vi's domain to (stick, rem), waking its watchers
+        if either part changed."""
+        if self._set(self.stick, vi, stick) | self._set(self.rem, vi, rem):
+            self._wake(vi)
+
+    def _absorb(self, vi, delta) -> bool:
         """Fold a projection into variable vi's domain per the mode.
 
-        Returns (ok, changed); ok is False on a wipeout.  delta must be
-        satisfiable and range over vi's unfixed bits (all bits in domain
-        mode).
+        Returns False on a wipeout.  delta must be satisfiable and range
+        over vi's unfixed bits (all bits in domain mode).
         """
-        store = self.store
-        old_stick, old_rem = self.stick[vi], self.rem[vi]
         if self.mode == "domain":
-            new_stick, new_rem = TRUE, delta
-        else:
-            lits = fixed_literals(store, delta)
-            if lits:
-                new_stick = store.apply_and(old_stick, stick_of(store, lits))
-                if new_stick == FALSE:
-                    return False, True
-                base = store.exists(frozenset(lits), delta)
-            else:
-                new_stick = old_stick
-                base = delta
-            if self.mode == "split":
-                new_rem = base
-            elif self.mode == "bounds":
-                new_rem = TRUE
-            else:
-                ubits = sorted(self.bitsets[vi] - store.var_set(new_stick))
-                if self.mode == "card":
-                    new_rem = card_bounds(store, base, ubits)
-                else:
-                    new_rem = lex_bounds(store, base, ubits)
-        changed = False
-        if new_stick != old_stick:
-            self._set_stick(vi, new_stick)
-            changed = True
-        if new_rem != old_rem:
-            self._set_rem(vi, new_rem)
-            changed = True
-        return True, changed
+            self._put(vi, TRUE, delta)
+            return True
+        store = self.store
+        fixed, rem = split(store, delta)
+        stick = store.apply_and(self.stick[vi], fixed)
+        if stick == FALSE:
+            return False
+        if self.mode == "bounds":
+            rem = TRUE
+        elif self._bound is not None:
+            rem = self._bound(store, rem, sorted(self.bitsets[vi] - store.var_set(stick)))
+        self._put(vi, stick, rem)
+        return True
 
     def assign(self, v, element, member=True) -> bool:
         """Branch decision: force element in (or out of) set variable v."""
@@ -247,16 +245,8 @@ class State:
             fixed = fixed_literals(store, self.stick[vi])
             if bit in fixed:
                 return fixed[bit] == value
-        lit = store.literal(bit, value)
-        delta = store.apply_and(self.rem[vi], lit)
-        if delta == FALSE:
-            return False
-        ok, changed = self._absorb(vi, delta)
-        if not ok:
-            return False
-        if changed:
-            self._wake(vi)
-        return True
+        delta = store.apply_and(self.rem[vi], store.literal(bit, value))
+        return delta != FALSE and self._absorb(vi, delta)
 
     # -- propagation ---------------------------------------------------
 
@@ -273,11 +263,7 @@ class State:
         def rec(p, idxs):
             if len(idxs) == 1:
                 vi = idxs[0]
-                d = store.apply_and(p, self.rem[vi])
-                extra = store.var_set(d) - self.bitsets[vi]
-                if extra:
-                    d = store.exists(frozenset(extra), d)
-                out[vi] = d
+                out[vi] = store.apply_and(p, self.rem[vi])
                 return
             m = len(idxs) // 2
             left, right = idxs[:m], idxs[m:]
@@ -302,20 +288,10 @@ class State:
             if cached is _FAIL:
                 return False
             new_con, still_active, pairs = cached
-            if new_con != cbdd:
-                self._set_con(ci, new_con)
-            if not still_active:
-                self._retire(ci)
+            self._set(self.cons, ci, new_con)
+            self._set(self.active, ci, still_active)
             for vi, (s, r) in zip(scope, pairs):
-                changed = False
-                if s != self.stick[vi]:
-                    self._set_stick(vi, s)
-                    changed = True
-                if r != self.rem[vi]:
-                    self._set_rem(vi, r)
-                    changed = True
-                if changed:
-                    self._wake(vi)
+                self._put(vi, s, r)
             return True
         self.runs += 1
         phi = cbdd
@@ -327,10 +303,9 @@ class State:
                 if phi == FALSE:
                     self._prop_cache[key] = _FAIL
                     return False
-                if phi != cbdd:
-                    self._set_con(ci, phi)
+                self._set(self.cons, ci, phi)
         if phi == TRUE:
-            self._retire(ci)
+            self._set(self.active, ci, False)
             self._prop_cache[key] = (phi, False, key[1])
             return True
         deltas = self._project(phi, scope)
@@ -338,16 +313,13 @@ class State:
             self._prop_cache[key] = _FAIL
             return False
         for vi in scope:
-            ok, changed = self._absorb(vi, deltas[vi])
-            if not ok:
+            if not self._absorb(vi, deltas[vi]):
                 self._prop_cache[key] = _FAIL
                 return False
-            if changed:
-                self._wake(vi)
         still_active = self.active[ci]
         if still_active and len(scope) == 1 and self.mode in ("domain", "split"):
             # a unary constraint is absorbed exactly by these two modes
-            self._retire(ci)
+            self._set(self.active, ci, False)
             still_active = False
         pairs = tuple((self.stick[vi], self.rem[vi]) for vi in scope)
         self._prop_cache[key] = (self.cons[ci], still_active, pairs)

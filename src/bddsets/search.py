@@ -174,8 +174,9 @@ def optimize_incremental(build, start: int = 1, time_limit: float | None = None)
     build(n) returns a ready-to-solve (state, strategy, branch_vars)
     triple; instances are solved for n = start, start+1, ... until one is
     unsatisfiable, which proves optimality of the previous n.  Returns a
-    SearchResult whose best field is (n, solution), or None when even the
-    first instance has no solution.
+    (best, status, fails) tuple: best is (n, solution), or None when even
+    the first instance has no solution; status is "optimal", "timeout" or
+    "nodelimit"; fails is summed over every solve.
     """
     t0 = time.perf_counter()
     best = None

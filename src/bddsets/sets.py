@@ -162,13 +162,13 @@ def neq(store, u: SetVar, v: SetVar) -> int:
     return store.negate(eq(store, u, v))
 
 
-def card(store, bits, l: int, u: int) -> int:
-    """BDD true iff the number of true bits among `bits` lies in [l, u].
+def _count(node, xs, l: int, u: int) -> int:
+    """BDD true iff between l and u of the conditions xs hold.
 
-    `bits` must be listed in increasing variable order.
+    node(x, t, f) branches on one condition: t if it holds, f otherwise.
     """
-    bits = list(bits)
-    n = len(bits)
+    xs = list(xs)
+    n = len(xs)
     memo = {}
 
     def rec(i, l, u):
@@ -182,11 +182,19 @@ def card(store, bits, l: int, u: int) -> int:
         key = (i, l, u)
         r = memo.get(key)
         if r is None:
-            r = store.mk_node(bits[i], rec(i + 1, l - 1, u - 1), rec(i + 1, l, u))
+            r = node(xs[i], rec(i + 1, l - 1, u - 1), rec(i + 1, l, u))
             memo[key] = r
         return r
 
     return rec(0, l, u)
+
+
+def card(store, bits, l: int, u: int) -> int:
+    """BDD true iff the number of true bits among `bits` lies in [l, u].
+
+    `bits` must be listed in increasing variable order.
+    """
+    return _count(store.mk_node, bits, l, u)
 
 
 def card_formulas(store, formulas, l: int, u: int) -> int:
@@ -197,26 +205,7 @@ def card_formulas(store, formulas, l: int, u: int) -> int:
     structure directly.  `formulas` must be ordered so that formula i only
     mentions variables preceding those of formula i+1.
     """
-    formulas = list(formulas)
-    n = len(formulas)
-    memo = {}
-
-    def rec(i, l, u):
-        if u < 0:
-            return FALSE
-        rem = n - i
-        if l <= 0 and rem <= u:
-            return TRUE
-        if rem < l:
-            return FALSE
-        key = (i, l, u)
-        r = memo.get(key)
-        if r is None:
-            r = store.ite(formulas[i], rec(i + 1, l - 1, u - 1), rec(i + 1, l, u))
-            memo[key] = r
-        return r
-
-    return rec(0, l, u)
+    return _count(store.ite, formulas, l, u)
 
 
 def card_eq(store, v: SetVar, k: int) -> int:

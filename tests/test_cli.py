@@ -153,3 +153,88 @@ def test_env_limits(tmp_path, monkeypatch):
     monkeypatch.setenv("BDDSETS_NODE_LIMIT", "lots")
     with pytest.raises(SystemExit):
         run_cli([path])
+
+
+# Every report row pinned field for field, except its time.  The three
+# paths that write one (a model build that hits the node ceiling, an
+# ordinary solve, and --target optimize) must agree on the layout.
+
+def report_fields(args):
+    code, out = run_cli(args + ["--format", "jsonl"])
+    assert code == 0
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert float(record.pop("time_s")) >= 0
+    return record
+
+
+ROW_BASE = {
+    "kind": "report",
+    "version": 1,
+    "mode": "domain",
+    "var_order": "seq",
+    "value_order": "largest",
+    "branch": "not_in_first",
+    "target": "first",
+}
+
+
+def test_report_row_node_limit_during_build(tmp_path):
+    path = write(tmp_path, GOLFERS)
+    assert report_fields([path, "--node-limit", "2000"]) == {
+        **ROW_BASE,
+        "problem": "golfers",
+        "status": "×",
+        "solutions": 0,
+        "fails": 0,
+        "nodes": 0,
+        "optimum": "",
+        "peak_nodes": 2000,
+    }
+
+
+def test_report_row_solve(tmp_path):
+    path = write(tmp_path, STEINER)
+    assert report_fields([path, "--target", "all", "--mode", "split"]) == {
+        **ROW_BASE,
+        "problem": "steiner",
+        "mode": "split",
+        "value_order": "smallest",
+        "target": "all",
+        "status": "ok",
+        "solutions": 30,
+        "fails": 47,
+        "nodes": 94,
+        "optimum": "",
+        "peak_nodes": 19876,
+    }
+
+
+def test_report_row_optimize(tmp_path):
+    path = write(tmp_path, "problem = hamming\nl = 5\nd = 3\nw = 2\n")
+    assert report_fields([path, "--target", "optimize", "--mode", "lex"]) == {
+        **ROW_BASE,
+        "problem": "hamming",
+        "mode": "lex",
+        "target": "optimize",
+        "status": "ok",
+        "solutions": 1,
+        "fails": 6,
+        "nodes": "",
+        "optimum": 2,
+        "peak_nodes": 3039,
+    }
+
+
+def test_report_row_optimize_node_limit(tmp_path):
+    path = write(tmp_path, HAMMING)
+    assert report_fields([path, "--target", "optimize", "--node-limit", "50"]) == {
+        **ROW_BASE,
+        "problem": "hamming",
+        "target": "optimize",
+        "status": "×",
+        "solutions": 0,
+        "fails": 0,
+        "nodes": "",
+        "optimum": "",
+        "peak_nodes": 9,
+    }

@@ -354,6 +354,35 @@ def test_cores_survive_maintain_cache_clear(store, rng):
     store.audit()
 
 
+def test_clear_cache_drops_quantifier_cores(store, rng):
+    from bddsets.propagate import State
+    from bddsets.sets import ConstraintBdd, Universe, alloc_set_vars, card
+
+    (x,) = alloc_set_vars(store, Universe(5), ["x"])
+    nvars = len(x.bits)
+    state = State(store, [x], [ConstraintBdd(card(store, x.bits, 2, 2), (x,))])
+    qs = frozenset(x.bits[1:3])
+    a = random_bdd(store, nvars, rng)
+    b = random_bdd(store, nvars, rng)
+    proj = store.and_exists(qs, a, b)
+    store.exists(frozenset(x.bits[:2]), a)
+    cores = store._quantifier_cores
+    assert len(cores) == 2
+    # a collection clears the cores with the cache, in place
+    store.collect_garbage([a, b, proj])
+    assert store._quantifier_cores is cores and not cores and not store._cache
+    assert store.and_exists(qs, a, b) == proj
+    _check_ops(store, rng, nvars, qs)
+    # so does maintain()'s cache-only clear
+    assert cores
+    state.cache_clear_trigger = 0
+    state.maintain()
+    assert store._quantifier_cores is cores and not cores and not store._cache
+    assert store.and_exists(qs, a, b) == proj
+    _check_ops(store, rng, nvars, qs)
+    store.audit()
+
+
 def test_debug_checks_give_the_same_handles():
     # with the checks on every node goes through mk_node; the handles must
     # match a store whose cores take unique-table hits inline

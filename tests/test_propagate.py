@@ -346,3 +346,13 @@ def test_false_constraint_rejected(store):
         State(store, [x], [ConstraintBdd(FALSE, (x,))])
     with pytest.raises(ValueError):
         State(store, [x], [], mode="strongest")
+
+
+def test_constraint_outside_its_scope_rejected(store):
+    u = Universe(3)
+    x, y = alloc_set_vars(store, u, ["x", "y"])
+    # x <= y mentions y's bits, but y is missing from the declared scope
+    wrong = ConstraintBdd(subseteq(store, x, y), (x,), name="x-sub-y")
+    with pytest.raises(ValueError, match="x-sub-y"):
+        State(store, [x, y], [wrong])
+    State(store, [x, y], [ConstraintBdd(subseteq(store, x, y), (x, y))])

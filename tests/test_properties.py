@@ -1,6 +1,7 @@
-"""Property tests: kernel operations against truth tables.
+"""Property tests: kernel operations against truth tables, and the
+propagation trail.
 
-Each example is a random program over four variables, starting from
+Each kernel example is a random program over four variables, starting from
 the terminals and the eight literals.  Every result is
 checked against the truth table computed from its operands' tables, and
 functions with equal tables must share one handle.  Garbage collections
@@ -9,6 +10,12 @@ op whose operands survived but whose result was swept is done again, so a
 stale handle coming back through the op cache, or a core that lost track
 of the store's containers, shows as a wrong table, a swept node or a
 second handle for one function.
+
+Each trail example is a stack of search levels on a small set problem:
+each level marks the trail, makes random branch decisions with
+propagation, and may collect garbage from the state's roots.  Undoing the
+levels in reverse must restore every domain, constraint and active flag
+exactly, with every restored handle still a live node.
 """
 
 from functools import partial
@@ -18,6 +25,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddsets.engine import FALSE, TRUE, NodeStore
+from bddsets.propagate import MODES, State
+from bddsets.sets import (
+    ConstraintBdd,
+    Universe,
+    alloc_set_vars,
+    card_le,
+    inter_card_atmost,
+    lexlt,
+    subseteq,
+    union_eq,
+)
 
 from conftest import exists_table, truth_table
 
@@ -104,3 +122,60 @@ def run_program(store, steps):
 @given(steps=st.lists(step, min_size=4, max_size=40))
 def test_kernel_ops_match_truth_tables_under_gc(debug_checks, steps):
     run_program(NodeStore(debug_checks=debug_checks), steps)
+
+
+def trail_problem(mode):
+    store = NodeStore()
+    x, y, z = alloc_set_vars(store, Universe(4), ["x", "y", "z"])
+    cons = [
+        ConstraintBdd(subseteq(store, x, y), (x, y)),
+        ConstraintBdd(union_eq(store, z, x, y), (z, x, y)),
+        ConstraintBdd(card_le(store, y, 3), (y,)),
+        ConstraintBdd(lexlt(store, x, z), (x, z)),
+        ConstraintBdd(inter_card_atmost(store, x, z, 1), (x, z)),
+    ]
+    return State(store, [x, y, z], cons, mode=mode)
+
+
+def state_of(st):
+    return (list(st.stick), list(st.rem), list(st.cons), list(st.active))
+
+
+def assert_live(store, handles):
+    for h in handles:
+        for n, v, t, f in store.iter_nodes(h):
+            assert store._unique.get((v, t, f)) == n, "handle lost to a collection"
+
+
+# a level: branch decisions (variable, element index, value), then
+# whether to collect garbage before the next level
+decision = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+)
+level = st.tuples(st.lists(decision, min_size=1, max_size=6), st.booleans())
+
+
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(levels=st.lists(level, min_size=1, max_size=4))
+def test_undo_restores_state_in_every_mode(mode, levels):
+    s = trail_problem(mode)
+    assert s.propagate_from_scratch()
+    arrays = (s.stick, s.rem, s.cons, s.active)
+    saved = []
+    for decisions, collect in levels:
+        saved.append((s.mark(), state_of(s)))
+        for vi, i, value in decisions:
+            if not (s.assign_bit(vi, s.bits[vi][i], value) and s.propagate()):
+                break
+        assert all(any(a is b for b in arrays) for a, _, _ in s.trail)
+        trailed = {old for a, _, old in s.trail if a is not s.active}
+        assert trailed <= s.gc_roots()
+        if collect:
+            s.store.collect_garbage(s.gc_roots())
+    for mark, before in reversed(saved):
+        s.undo(mark)
+        assert state_of(s) == before
+        assert_live(s.store, s.stick + s.rem + s.cons)
