@@ -10,9 +10,10 @@ from __future__ import annotations
 from .engine import FALSE, TRUE, NodeStore
 from .sets import card
 
-# cache opcodes, disjoint from those in engine
-_OP_FIXED_LITS = 100
-_OP_COUNT_CARD = 101
+# tags of this module's entries in the store's side table (engine's
+# var_set uses 0)
+_SIDE_FIXED_LITS = 1
+_SIDE_COUNT_CARD = 2
 
 EMPTY_INTERVAL = None  # stands for the <+inf, -inf> pair of the failed domain
 
@@ -38,7 +39,7 @@ def fixed_literals(store: NodeStore, a: int) -> dict[int, bool]:
     def rec(n):
         if n == 1:
             return ALL
-        key = (_OP_FIXED_LITS, n)
+        key = n << 2 | _SIDE_FIXED_LITS
         r = cache.get(key)
         if r is not None:
             return r
@@ -90,13 +91,15 @@ def split(store: NodeStore, a: int) -> tuple[int, int]:
     """Split a into (stick, remainder) with a == stick & remainder.
 
     The remainder mentions no fixed variable, and the two parts together
-    are never larger than the input.
+    are never larger than the input.  Every node of a on a fixed variable
+    has one FALSE child, so quantifying the fixed variables out of a is
+    restricting a to the stick.
     """
     lits = fixed_literals(store, a)
     if not lits:
         return TRUE, a
     stick = stick_of(store, lits)
-    rem = store.exists(frozenset(lits), a)
+    rem = store.cofactor(a, stick)
     if check_split_sizes:
         assert store.apply_and(stick, rem) == a
         assert store.size(stick) + store.size(rem) <= store.size(a)
@@ -108,7 +111,7 @@ def count_cardinality(store: NodeStore, a: int, vs) -> tuple[int, int] | None:
 
     vs must be sorted in variable order and contain every variable of a.
     Returns EMPTY_INTERVAL (None) when a is unsatisfiable.  Results are
-    memoized in the store's global cache keyed on (node, remaining suffix
+    memoized in the store's side table keyed on (node, remaining suffix
     length) so repeated extraction during one solve stays cheap.
     """
     vs = tuple(vs)
@@ -123,7 +126,7 @@ def count_cardinality(store: NodeStore, a: int, vs) -> tuple[int, int] | None:
         rem = n - i
         if d == TRUE:
             return (0, rem)
-        key = (_OP_COUNT_CARD, d, rem)
+        key = (d << 32 | rem) << 2 | _SIDE_COUNT_CARD
         r = cache.get(key, 0)
         if r != 0:
             return r
@@ -180,21 +183,25 @@ def _lex_bound(store: NodeStore, a: int, bs, lower: bool) -> int:
         def mk(b, t, f):
             return store.mk_node(b, f, t)
 
-    def rec(d, i):
-        if i == len(bs) or d == TRUE:
-            return TRUE
+    # walk down the bound's one path, then build it bottom-up
+    path = []  # (bit, whether the bound keeps only the then-branch)
+    d = a
+    for b in bs:
+        if d == TRUE:
+            break
         if d == FALSE:
             raise ValueError("unsatisfiable branch during lex extraction")
-        b = bs[i]
         v = var[d]
         if b > v:
             raise ValueError("bs not sorted or missing a BDD variable")
-        if b == v and lo[d] == FALSE:
-            return mk(b, rec(hi[d], i + 1), FALSE)
-        r = rec(lo[d], i + 1) if b == v else rec(d, i + 1)
-        return mk(b, TRUE, r)
-
-    return rec(a, 0)
+        forced = b == v and lo[d] == FALSE
+        path.append((b, forced))
+        if b == v:
+            d = hi[d] if forced else lo[d]
+    r = TRUE
+    for b, forced in reversed(path):
+        r = mk(b, r, FALSE) if forced else mk(b, TRUE, r)
+    return r
 
 
 def lex_lower(store: NodeStore, a: int, bs) -> int:

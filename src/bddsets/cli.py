@@ -177,19 +177,22 @@ def run(args, out=sys.stdout) -> int:
         spec = parsed["spec"]
         strategy_holder = {}
         stores = []
+        # a store whose build hit the ceiling holds node_limit nodes
+        peaks = []
 
         def build(n):
-            model = build_hamming(replace(spec, n=n), node_limit=node_limit)
+            try:
+                model = build_hamming(replace(spec, n=n), node_limit=node_limit)
+            except NodeLimitExceeded:
+                peaks.append(node_limit)
+                raise
             stores.append(model.store)
             strategy_holder.setdefault("s", _resolve_strategy(model.strategy, args))
             st = State(model.store, model.vars, model.constraints, mode=args.mode)
             return st, strategy_holder["s"], model.branch_vars
 
         t0 = build_start if args.include_build_time else time.perf_counter()
-        try:
-            best, status, fails = optimize_incremental(build, time_limit=time_limit)
-        except NodeLimitExceeded:
-            best, status, fails = None, "nodelimit", 0
+        best, status, fails = optimize_incremental(build, time_limit=time_limit)
         return report(
             strategy_holder.get("s") or _resolve_strategy(Strategy(), args),
             status,
@@ -197,7 +200,7 @@ def run(args, out=sys.stdout) -> int:
             fails,
             "",
             best[0] if best is not None else "",
-            max((s.node_count() for s in stores), default=node_limit),
+            max(peaks + [s.node_count() for s in stores], default=node_limit),
             time.perf_counter() - t0,
         )
 

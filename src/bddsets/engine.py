@@ -1,27 +1,45 @@
 """Reduced ordered binary decision diagram kernel.
 
 Nodes live in a :class:`NodeStore` and are referred to by integer handles.
-Handles 0 and 1 are the reserved terminals.  All operations are memoized in
-a store-global cache keyed by operand handles.  Structural equality of the
-represented Boolean functions is therefore handle equality.
+Handles 0 and 1 are the reserved terminals.  All operations are memoized
+on their operand handles, and structural equality of the represented
+Boolean functions is handle equality.
 
 The recursions are built once, not on every call: one and/or/xor apply
-body, ``negate`` and ``var_set`` once per store, and the ``exists`` /
-``and_exists`` pair once per quantified variable set.  They are closures
-over the store's node arrays, unique table and memo cache, never over the
+body, ``negate``, ``cofactor`` and ``var_set`` once per store, and the
+``exists`` / ``and_exists`` pair once per quantified variable set.  They
+are closures over the store's node arrays and tables, never over the
 store itself.  They look an existing node up in the unique table directly
 and call the node allocator only on a miss.  The quantifier cores fuse the
 disjunction of a quantified level: they call the OR core directly and skip
 the else-branch once the then-branch is ``TRUE`` (Brace, Rudell & Bryant,
 "Efficient Implementation of a BDD Package", DAC 1990).
 
+Table layout.  Every hot table is a dict from one packed int to a handle:
+
+* the unique table maps ``(v << 32 | t) << 32 | f`` to the node (v, t, f);
+* and, or and xor each have a memo keyed ``a << 32 | b`` (a <= b), and
+  negate one keyed ``a``;
+* each quantifier core has its own ``exists`` memo keyed ``a`` and
+  ``and_exists`` memo keyed ``a << 32 | b``, so the variable set is not
+  part of the key;
+* ``cofactor`` has a memo keyed ``a << 32 | cube``.
+
+A dict holding only ints is never tracked by CPython's cycle collector,
+so these tables, millions of entries on long searches, cost the collector
+nothing; with tuple keys every full collection walked all of them.  The
+memo entries whose values are not handles (``var_set``'s frozensets, and
+the fixed literals and cardinality intervals of :mod:`bddsets.analysis`)
+share one side table, ``NodeStore._cache``, under keys tagged in their
+low two bits.  Handles and variables must stay below 2**32.
+
 Long-running searches can reclaim dead nodes with
 :meth:`NodeStore.collect_garbage`, which sweeps everything unreachable
-from a caller-supplied root set and recycles the freed table slots; the
-operation cache and the quantifier cores are cleared in the same stroke
-(:meth:`NodeStore.clear_cache`), so stale handles can never resurface
-through a memo hit.  The cores hold on to the store's containers, so
-those are cleared in place and never rebound.
+from a caller-supplied root set and recycles the freed table slots; every
+memo table is cleared and the quantifier cores are dropped in the same
+stroke (:meth:`NodeStore.clear_cache`), so stale handles can never
+resurface through a memo hit.  The cores hold on to the store's
+containers, so those are cleared in place and never rebound.
 """
 
 from __future__ import annotations
@@ -36,14 +54,8 @@ TRUE = 1
 # special casing.
 _TERMINAL_VAR = 1 << 60
 
-# opcodes for the shared memo cache
-_OP_AND = 0
-_OP_OR = 1
-_OP_XOR = 2
-_OP_NOT = 4
-_OP_EXISTS = 5
-_OP_AND_EXISTS = 6
-_OP_SUPPORT = 7
+# Tag of var_set's entries in the side table; analysis uses 1 and 2.
+_SIDE_SUPPORT = 0
 
 _NO_VARS: frozenset[int] = frozenset()
 
@@ -56,23 +68,23 @@ class OrderingViolation(Exception):
     """A child node's variable does not strictly follow its parent's."""
 
 
-def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
+def _build_kernel(var, hi, lo, unique, free, side, node_limit, debug_checks):
     """Build one store's recursions as closures over its containers.
 
-    Returns the node allocator, the and/or/xor apply cores, the negation
-    and support cores, and a factory for the quantifier cores of one
-    variable set.
+    Returns the node allocator, the and/or/xor apply cores, the negation,
+    cofactor and support cores, a factory for the quantifier cores of one
+    variable set, and the memo tables of the fixed cores.
     """
-    # With the checks on, every node goes through mk so that each one is
-    # checked; otherwise a unique-table hit skips the call.
+    # With the checks on, every node goes through node() so that each one
+    # is checked; otherwise a unique-table hit skips the call.  The cores
+    # pass the key they probed with, so a miss packs it only once.
     probe = {} if debug_checks else unique
+    memos = []
 
-    def mk(v: int, t: int, f: int) -> int:
-        if t == f:
-            return t
+    def node(key: int, v: int, t: int, f: int) -> int:
+        """The node (v, t, f), t != f, whose unique-table key is key."""
         if debug_checks and (var[t] <= v or var[f] <= v):
             raise OrderingViolation(f"children of v{v} not strictly below it")
-        key = (v, t, f)
         r = unique.get(key)
         if r is None:
             if free:
@@ -90,7 +102,10 @@ def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
             unique[key] = r
         return r
 
-    def binary(op: int, unit: int, zero: int, idempotent: bool):
+    def mk(v: int, t: int, f: int) -> int:
+        return t if t == f else node((v << 32 | t) << 32 | f, v, t, f)
+
+    def binary(unit: int, zero: int, idempotent: bool):
         """Apply core for a commutative operator.
 
         unit is its identity element, zero its absorbing element (-1 for
@@ -98,6 +113,8 @@ def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
         XOR with TRUE needs no case of its own: it recurses to the
         negation.
         """
+        memo = {}
+        memos.append(memo)
 
         def rec(a: int, b: int) -> int:
             if a == unit:
@@ -110,8 +127,8 @@ def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
                 return a if idempotent else FALSE
             if a > b:
                 a, b = b, a
-            key = (op, a, b)
-            r = cache.get(key)
+            key = a << 32 | b
+            r = memo.get(key)
             if r is not None:
                 return r
             va, vb = var[a], var[b]
@@ -121,50 +138,76 @@ def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
                 v, t, f = va, rec(hi[a], b), rec(lo[a], b)
             else:
                 v, t, f = vb, rec(hi[b], a), rec(lo[b], a)
-            r = t if t == f else (probe.get((v, t, f)) or mk(v, t, f))
-            cache[key] = r
+            r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
+            memo[key] = r
             return r
 
         return rec
 
-    and_ = binary(_OP_AND, TRUE, FALSE, True)
-    or_ = binary(_OP_OR, FALSE, TRUE, True)
-    xor = binary(_OP_XOR, FALSE, -1, False)
+    and_ = binary(TRUE, FALSE, True)
+    or_ = binary(FALSE, TRUE, True)
+    xor = binary(FALSE, -1, False)
+    not_memo = {}
+    cof_memo = {}
+    memos += (not_memo, cof_memo)
 
     def negate(a: int) -> int:
         if a <= 1:
             return 1 - a
-        key = (_OP_NOT, a)
-        r = cache.get(key)
+        r = not_memo.get(a)
         if r is None:
             v, t, f = var[a], negate(hi[a]), negate(lo[a])
             # a is reduced, so its negated children differ too
-            r = probe.get((v, t, f)) or mk(v, t, f)
-            cache[key] = r
+            r = probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f)
+            not_memo[a] = r
+        return r
+
+    def cofactor(a: int, c: int) -> int:
+        # c is a cube: each of its nodes has one FALSE child, so the other
+        # child is `hi[c] or lo[c]`; cube variables above a's top are skipped
+        va, vc = var[a], var[c]
+        while vc < va:
+            c = hi[c] or lo[c]
+            vc = var[c]
+        if c <= 1:
+            return a if c else FALSE
+        key = a << 32 | c
+        r = cof_memo.get(key)
+        if r is not None:
+            return r
+        if va == vc:
+            t = hi[c]
+            r = cofactor(lo[a], lo[c]) if t == FALSE else cofactor(hi[a], t)
+        else:
+            t, f = cofactor(hi[a], c), cofactor(lo[a], c)
+            r = t if t == f else (probe.get(k := (va << 32 | t) << 32 | f) or node(k, va, t, f))
+        cof_memo[key] = r
         return r
 
     def support(a: int) -> frozenset[int]:
         if a <= 1:
             return _NO_VARS
-        key = (_OP_SUPPORT, a)
-        r = cache.get(key)
+        key = a << 2 | _SIDE_SUPPORT
+        r = side.get(key)
         if r is None:
             r = support(hi[a]) | support(lo[a]) | {var[a]}
-            cache[key] = r
+            side[key] = r
         return r
 
-    def quantifiers(fs: frozenset[int], vid: int):
-        """The exists and and_exists cores for the variable set fs."""
+    def quantifiers(fs: frozenset[int]):
+        """The exists and and_exists cores for the variable set fs, and
+        their two memo tables."""
         # terminals are labelled above every variable, so they stop the
         # descent too; with fs empty every handle does
         top = max(fs, default=-1)
+        ex_memo = {}
+        ae_memo = {}
 
         def exists(a: int) -> int:
             v = var[a]
             if v > top:
                 return a
-            key = (_OP_EXISTS, a, vid)
-            r = cache.get(key)
+            r = ex_memo.get(a)
             if r is not None:
                 return r
             t = exists(hi[a])
@@ -172,8 +215,8 @@ def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
                 r = TRUE if t == TRUE else or_(t, exists(lo[a]))
             else:
                 f = exists(lo[a])
-                r = t if t == f else (probe.get((v, t, f)) or mk(v, t, f))
-            cache[key] = r
+                r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
+            ex_memo[a] = r
             return r
 
         def and_exists(a: int, b: int) -> int:
@@ -190,8 +233,8 @@ def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
             if v > top:
                 # no quantified variable can appear below here
                 return and_(a, b)
-            key = (_OP_AND_EXISTS, a, b, vid)
-            r = cache.get(key)
+            key = a << 32 | b
+            r = ae_memo.get(key)
             if r is not None:
                 return r
             if va == vb:
@@ -205,13 +248,13 @@ def _build_kernel(var, hi, lo, unique, free, cache, node_limit, debug_checks):
                 r = TRUE if t == TRUE else or_(t, and_exists(fa, fb))
             else:
                 f = and_exists(fa, fb)
-                r = t if t == f else (probe.get((v, t, f)) or mk(v, t, f))
-            cache[key] = r
+                r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
+            ae_memo[key] = r
             return r
 
-        return exists, and_exists
+        return exists, and_exists, (ex_memo, ae_memo)
 
-    return mk, and_, or_, xor, negate, support, quantifiers
+    return mk, and_, or_, xor, negate, cofactor, support, quantifiers, memos
 
 
 class NodeStore:
@@ -227,8 +270,9 @@ class NodeStore:
         self._var = [_TERMINAL_VAR, _TERMINAL_VAR]
         self._hi = [0, 1]
         self._lo = [0, 1]
-        self._unique: dict[tuple[int, int, int], int] = {}
+        self._unique: dict[int, int] = {}
         self._free: list[int] = []
+        # the side table: memo entries whose values are not handles
         self._cache: dict = {}
         self._num_vars = 0
         self.node_limit = node_limit
@@ -239,15 +283,26 @@ class NodeStore:
             self._or,
             self._xor,
             self._not,
+            self._cofactor,
             self._support,
             self._new_quantifiers,
+            self._memos,
         ) = _build_kernel(
             self._var, self._hi, self._lo, self._unique, self._free,
             self._cache, node_limit, debug_checks,
         )
-        # quantified variable set -> its (exists, and_exists) cores; the
-        # insertion index is the set's id in memo keys
+        # quantified variable set -> its (exists, and_exists, memos) cores
         self._quantifier_cores: dict[frozenset[int], tuple] = {}
+
+    def __del__(self):
+        # The cores are self-recursive closures, so they outlive the store
+        # until the cycle collector runs; emptying the tables they hold
+        # releases the memory at once.
+        self._var.clear()
+        self._hi.clear()
+        self._lo.clear()
+        self._unique.clear()
+        self.clear_cache()
 
     # ------------------------------------------------------------------
     # variables and nodes
@@ -301,13 +356,26 @@ class NodeStore:
         return len(dead)
 
     def clear_cache(self) -> None:
-        """Drop every memo entry and every quantifier core.
+        """Empty every memo table and drop every quantifier core.
 
-        Both are cleared in place, since the cores hold the cache.  No
-        cached key survives, so the memo ids of new cores may restart at 0.
+        The tables are cleared in place, since the cores hold them; a
+        dropped core's own memos are emptied first, so their memory is
+        released without waiting for the cycle collector.
         """
         self._cache.clear()
+        for memo in self._memos:
+            memo.clear()
+        for _, _, memos in self._quantifier_cores.values():
+            for memo in memos:
+                memo.clear()
         self._quantifier_cores.clear()
+
+    def cache_entries(self) -> int:
+        """Total number of entries in every memo table and the side table."""
+        n = len(self._cache) + sum(map(len, self._memos))
+        for _, _, memos in self._quantifier_cores.values():
+            n += sum(map(len, memos))
+        return n
 
     def mk_node(self, v: int, t: int, f: int) -> int:
         """Return the unique reduced node for (v, t, f)."""
@@ -322,7 +390,7 @@ class NodeStore:
         fs = vs if isinstance(vs, frozenset) else frozenset(vs)
         cores = self._quantifier_cores.get(fs)
         if cores is None:
-            cores = self._new_quantifiers(fs, len(self._quantifier_cores))
+            cores = self._new_quantifiers(fs)
             self._quantifier_cores[fs] = cores
         return cores
 
@@ -369,6 +437,21 @@ class NodeStore:
     def and_exists(self, vs: Iterable[int], a: int, b: int) -> int:
         """Compute exists(vs, a AND b) without building the full conjunction."""
         return self._quantifiers(vs)[1](a, b)
+
+    def cofactor(self, a: int, cube: int) -> int:
+        """The restriction of a to the literals of cube.
+
+        cube must be a conjunction of literals, such as a stick; the result
+        equals and_exists(var_set(cube), a, cube) but needs no quantifier
+        core for the cube's variables.
+        """
+        if self.debug_checks:
+            c = cube
+            while c > 1:
+                if self._hi[c] != FALSE and self._lo[c] != FALSE:
+                    raise ValueError(f"handle {cube} is not a cube")
+                c = self._hi[c] or self._lo[c]
+        return self._cofactor(a, cube)
 
     # ------------------------------------------------------------------
     # queries
@@ -458,7 +541,7 @@ class NodeStore:
                 raise AssertionError(f"redundant test at node {h}")
             if self._var[t] <= v or self._var[f] <= v:
                 raise AssertionError(f"ordering violated at node {h}")
-            if self._unique.get((v, t, f)) != h:
+            if self._unique.get((v << 32 | t) << 32 | f) != h:
                 raise AssertionError(f"unique table inconsistent at node {h}")
 
     def to_dot(self, a: int, name: str = "bdd") -> str:

@@ -15,11 +15,16 @@ the projection is kept:
   lex     fixed bits plus lexicographic bounds on the rest
 
 Sticks record exact information, so every mode may specialise constraints
-against them.  All propagators are monotone, hence the fixpoint reached
-is independent of queue order.  Every change to a domain, a constraint or
-its active flag is trailed as (array, index, old value) so search can
-backtrack, and whole propagator runs are memoised on (constraint handle,
-scope domain handles) so revisiting a search node is nearly free.
+against them.  A stick is a cube, a conjunction of literals, so
+specialising a constraint to the sticks of its scope, that is quantifying
+the stick bits out of its conjunction with them, is a cofactor: the
+constraint restricted to the conjoined sticks (NodeStore.cofactor).
+
+All propagators are monotone, hence the fixpoint reached is independent
+of queue order.  Every change to a domain, a constraint or its active
+flag is trailed as (array, index, old value) so search can backtrack, and
+whole propagator runs are memoised on (constraint handle, scope domain
+handles) so revisiting a search node is nearly free.
 
 Precondition: each constraint's BDD mentions only bits of the variables
 in its scope.  State() checks this once and raises ValueError otherwise,
@@ -156,7 +161,7 @@ class State:
             self._prop_cache.clear()
             store.collect_garbage(self.gc_roots())
             self._gc_trigger = max(self.gc_node_trigger, 2 * store.live_node_count())
-        elif len(store._cache) > self.cache_clear_trigger:
+        elif store.cache_entries() > self.cache_clear_trigger:
             store.clear_cache()
 
     # -- inspection ----------------------------------------------------
@@ -256,23 +261,26 @@ class State:
         Divide and conquer over the scope: each half is quantified away
         after conjoining its remainder domains, so every projection costs
         O(log n) conjunction steps.  Returns None on a wipeout.
+
+        Each stack entry (p, keep, drop) projects p onto the variables of
+        keep after quantifying away those of drop; the left half is
+        finished before the right one is started.
         """
-        store = self.store
+        store, rem, bitsets = self.store, self.rem, self.bitsets
         out = {}
-
-        def rec(p, idxs):
-            if len(idxs) == 1:
-                vi = idxs[0]
-                out[vi] = store.apply_and(p, self.rem[vi])
-                return
-            m = len(idxs) // 2
-            left, right = idxs[:m], idxs[m:]
-            lbits = frozenset().union(*(self.bitsets[vi] for vi in left))
-            rbits = frozenset().union(*(self.bitsets[vi] for vi in right))
-            rec(store.and_exists(rbits, p, store.conjoin([self.rem[vi] for vi in right])), left)
-            rec(store.and_exists(lbits, p, store.conjoin([self.rem[vi] for vi in left])), right)
-
-        rec(phi, list(scope))
+        stack = [(phi, list(scope), ())]
+        while stack:
+            p, keep, drop = stack.pop()
+            if drop:
+                bits = frozenset().union(*(bitsets[vi] for vi in drop))
+                p = store.and_exists(bits, p, store.conjoin([rem[vi] for vi in drop]))
+            if len(keep) == 1:
+                out[keep[0]] = store.apply_and(p, rem[keep[0]])
+                continue
+            m = len(keep) // 2
+            left, right = keep[:m], keep[m:]
+            stack.append((p, right, left))
+            stack.append((p, left, right))
         if any(out[vi] == FALSE for vi in scope):
             return None
         return out
@@ -298,8 +306,7 @@ class State:
         if self.mode != "domain":
             sticks = [self.stick[vi] for vi in scope if self.stick[vi] != TRUE]
             if sticks:
-                conj = store.conjoin(sticks)
-                phi = store.and_exists(store.var_set(conj), phi, conj)
+                phi = store.cofactor(phi, store.conjoin(sticks))
                 if phi == FALSE:
                     self._prop_cache[key] = _FAIL
                     return False

@@ -159,6 +159,10 @@ def solve(
         res.status = stop.status
     except NodeLimitExceeded:
         res.status = "nodelimit"
+    finally:
+        # dfs is a self-recursive closure over the state: clearing its cell
+        # breaks the cycle, so the state is freed once the caller drops it
+        dfs = None
     if all_solutions and res.status == "all" and res.solutions:
         # exhaustive search backtracks past each solution by failing; the
         # final solution's backtrack merely exhausts the tree, so an
@@ -176,7 +180,8 @@ def optimize_incremental(build, start: int = 1, time_limit: float | None = None)
     unsatisfiable, which proves optimality of the previous n.  Returns a
     (best, status, fails) tuple: best is (n, solution), or None when even
     the first instance has no solution; status is "optimal", "timeout" or
-    "nodelimit"; fails is summed over every solve.
+    "nodelimit", the last also when build(n) hits the node ceiling; fails
+    is summed over every solve.
     """
     t0 = time.perf_counter()
     best = None
@@ -188,7 +193,10 @@ def optimize_incremental(build, start: int = 1, time_limit: float | None = None)
             remaining = time_limit - (time.perf_counter() - t0)
             if remaining <= 0:
                 return best, "timeout", total_fails
-        state, strategy, branch_vars = build(n)
+        try:
+            state, strategy, branch_vars = build(n)
+        except NodeLimitExceeded:
+            return best, "nodelimit", total_fails
         res = solve(state, strategy, branch_vars=branch_vars, time_limit=remaining)
         total_fails += res.fails
         if res.status == "sat":

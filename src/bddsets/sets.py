@@ -186,7 +186,12 @@ def _count(node, xs, l: int, u: int) -> int:
             memo[key] = r
         return r
 
-    return rec(0, l, u)
+    try:
+        return rec(0, l, u)
+    finally:
+        # rec refers to itself, and node is bound to the store: clear the
+        # cycle so the store is freed once its owner drops it
+        rec = None
 
 
 def card(store, bits, l: int, u: int) -> int:

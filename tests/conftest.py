@@ -64,3 +64,11 @@ def exists_table(table, qs, nvars):
         any(table[j] for j in range(len(table)) if j & keep == i & keep)
         for i in range(len(table))
     )
+
+
+def hot_tables(store):
+    """The unique table and every handle-valued memo table of store."""
+    tables = [store._unique, *store._memos]
+    for _, _, memos in store._quantifier_cores.values():
+        tables.extend(memos)
+    return tables

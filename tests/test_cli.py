@@ -226,15 +226,34 @@ def test_report_row_optimize(tmp_path):
 
 
 def test_report_row_optimize_node_limit(tmp_path):
+    # n = 1 is solved and the build for n = 2 hits the ceiling: the row
+    # keeps the code found, and the failed build counts as node_limit nodes
     path = write(tmp_path, HAMMING)
     assert report_fields([path, "--target", "optimize", "--node-limit", "50"]) == {
         **ROW_BASE,
         "problem": "hamming",
         "target": "optimize",
         "status": "×",
-        "solutions": 0,
+        "solutions": 1,
         "fails": 0,
         "nodes": "",
-        "optimum": "",
-        "peak_nodes": 9,
+        "optimum": 1,
+        "peak_nodes": 50,
+    }
+
+
+def test_report_row_optimize_node_limit_during_a_later_build(tmp_path):
+    path = write(tmp_path, "problem = hamming\nl = 5\nd = 3\nw = 2\n")
+    args = [path, "--target", "optimize", "--mode", "lex", "--node-limit", "1000"]
+    assert report_fields(args) == {
+        **ROW_BASE,
+        "problem": "hamming",
+        "mode": "lex",
+        "target": "optimize",
+        "status": "×",
+        "solutions": 1,
+        "fails": 0,
+        "nodes": "",
+        "optimum": 2,
+        "peak_nodes": 1000,
     }

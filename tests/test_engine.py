@@ -6,9 +6,10 @@ import weakref
 
 import pytest
 
+from bddsets.analysis import stick_of
 from bddsets.engine import FALSE, TRUE, NodeStore, NodeLimitExceeded, OrderingViolation
 
-from conftest import exists_table, models_of, random_bdd, truth_table
+from conftest import exists_table, hot_tables, models_of, random_bdd, truth_table
 
 OPS = {
     "and": operator.and_,
@@ -230,10 +231,11 @@ def test_memo_cache_hit(store):
     a = store.literal(v)
     b = store.literal(w)
     r1 = store.apply_and(a, b)
-    hits_before = len(store._cache)
+    entries = store.cache_entries()
+    assert entries > 0
     r2 = store.apply_and(a, b)
     assert r1 == r2
-    assert len(store._cache) == hits_before
+    assert store.cache_entries() == entries
 
 
 def test_to_dot_smoke(store):
@@ -344,10 +346,12 @@ def test_cores_survive_maintain_cache_clear(store, rng):
     b = random_bdd(store, nvars, rng)
     conj = store.apply_and(a, b)
     proj = store.and_exists(qs, a, b)
-    cache = store._cache
+    cache, memos = store._cache, list(store._memos)
+    assert store.cache_entries() > 0
     state.cache_clear_trigger = 0
     state.maintain()
-    assert store._cache is cache and not cache
+    assert store._cache is cache and all(m is n for m, n in zip(store._memos, memos))
+    assert store.cache_entries() == 0
     assert store.apply_and(a, b) == conj
     assert store.and_exists(qs, a, b) == proj
     _check_ops(store, rng, nvars, qs)
@@ -368,19 +372,102 @@ def test_clear_cache_drops_quantifier_cores(store, rng):
     store.exists(frozenset(x.bits[:2]), a)
     cores = store._quantifier_cores
     assert len(cores) == 2
+    # the dropped cores are cyclic garbage, so their memos are emptied too
+    memos = hot_tables(store)[1:]
     # a collection clears the cores with the cache, in place
     store.collect_garbage([a, b, proj])
-    assert store._quantifier_cores is cores and not cores and not store._cache
+    assert store._quantifier_cores is cores and not cores and store.cache_entries() == 0
+    assert not any(memos)
     assert store.and_exists(qs, a, b) == proj
     _check_ops(store, rng, nvars, qs)
     # so does maintain()'s cache-only clear
     assert cores
     state.cache_clear_trigger = 0
     state.maintain()
-    assert store._quantifier_cores is cores and not cores and not store._cache
+    assert store._quantifier_cores is cores and not cores and store.cache_entries() == 0
     assert store.and_exists(qs, a, b) == proj
     _check_ops(store, rng, nvars, qs)
     store.audit()
+
+
+def test_hot_tables_stay_untracked_by_the_cycle_collector(rng):
+    # every unique-table and memo entry is int to int, so CPython never
+    # tracks those dicts, even across a collection of both kinds
+    store = NodeStore()
+    nvars = 6
+    store.new_vars(nvars)
+
+    def ops(n):
+        out = []
+        for _ in range(n):
+            a = random_bdd(store, nvars, rng)
+            b = random_bdd(store, nvars, rng)
+            qs = frozenset(v for v in range(nvars) if rng.random() < 0.4)
+            cube = stick_of(store, {v: rng.random() < 0.5 for v in qs})
+            out += [
+                store.apply_and(a, b),
+                store.apply_or(a, b),
+                store.apply_xor(a, b),
+                store.negate(a),
+                store.exists(qs, a),
+                store.and_exists(qs, a, b),
+                store.cofactor(a, cube),
+            ]
+        return out
+
+    keep = ops(40)
+    store.collect_garbage(keep[::3])
+    gc.collect()
+    ops(40)
+    tables = hot_tables(store)
+    # the unique table and the five fixed memos, then the quantifier memos
+    assert all(tables[:6]) and any(tables[6:])
+    assert not any(map(gc.is_tracked, tables))
+
+
+def test_cache_entries_counts_every_table(store):
+    # built with mk_node alone, f leaves every memo empty; then each core
+    # fills only its own table, and maintain() bounds their total
+    from bddsets.propagate import State
+    from bddsets.sets import ConstraintBdd, Universe, alloc_set_vars
+
+    (x,) = alloc_set_vars(store, Universe(3), ["x"])
+    v0, v1, v2 = x.bits
+    f = store.mk_node(v0, store.mk_node(v1, TRUE, FALSE), store.mk_node(v2, FALSE, TRUE))
+    state = State(store, [x], [ConstraintBdd(f, (x,))])
+    assert store.cache_entries() == 0
+    # one exists entry for each node of f, and no OR below v2
+    store.exists({v2}, f)
+    assert store.cache_entries() == 3
+    store.and_exists({v1}, f, store.literal(v2))
+    store.cofactor(f, store.literal(v0))
+    store.var_set(f)
+    entries = store.cache_entries()
+    assert entries == sum(map(len, hot_tables(store)[1:])) + len(store._cache) > 4
+    state.cache_clear_trigger = entries
+    state.maintain()
+    assert store.cache_entries() == entries
+    state.cache_clear_trigger = entries - 1
+    state.maintain()
+    assert store.cache_entries() == 0
+
+
+def test_cofactor_by_a_cube(store):
+    v0, v1, v2 = store.new_vars(3)
+    f = store.apply_or(
+        store.apply_and(store.literal(v0), store.literal(v2)),
+        store.apply_and(store.literal(v1, False), store.literal(v2, False)),
+    )
+    cube = stick_of(store, {v0: True, v1: False})
+    assert store.cofactor(f, cube) == TRUE
+    assert store.cofactor(f, stick_of(store, {v0: False})) == store.apply_and(
+        store.literal(v1, False), store.literal(v2, False)
+    )
+    assert store.cofactor(f, TRUE) == f
+    assert store.cofactor(f, FALSE) == FALSE
+    # the store fixture has debug checks on, which reject a non-cube
+    with pytest.raises(ValueError):
+        store.cofactor(f, store.apply_or(store.literal(v0), store.literal(v1)))
 
 
 def test_debug_checks_give_the_same_handles():
@@ -441,9 +528,13 @@ def test_store_freed_without_the_cycle_collector():
     x, y = (store.literal(v) for v in store.new_vars(2))
     store.and_exists({0}, store.apply_or(x, y), store.negate(x))
     ref = weakref.ref(store)
+    # the self-recursive cores still hold these until the cycle collector
+    # runs, so the dying store empties them
+    tables = [store._var, store._cache] + hot_tables(store)
     gc.disable()
     try:
         del store
         assert ref() is None
+        assert not any(tables)
     finally:
         gc.enable()

@@ -9,7 +9,10 @@ that drop random results are interleaved.  After each one, every earlier
 op whose operands survived but whose result was swept is done again, so a
 stale handle coming back through the op cache, or a core that lost track
 of the store's containers, shows as a wrong table, a swept node or a
-second handle for one function.
+second handle for one function.  A cofactor by a random cube must also
+equal and_exists over the cube's bits, and at the end of every program
+the unique table and the memo tables must still be untracked by the
+cycle collector.
 
 Each trail example is a stack of search levels on a small set problem:
 each level marks the trail, makes random branch decisions with
@@ -18,12 +21,14 @@ levels in reverse must restore every domain, constraint and active flag
 exactly, with every restored handle still a live node.
 """
 
+import gc
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bddsets.analysis import stick_of
 from bddsets.engine import FALSE, TRUE, NodeStore
 from bddsets.propagate import MODES, State
 from bddsets.sets import (
@@ -37,7 +42,7 @@ from bddsets.sets import (
     union_eq,
 )
 
-from conftest import exists_table, truth_table
+from conftest import exists_table, hot_tables, truth_table
 
 NVARS = 4
 
@@ -57,6 +62,12 @@ step = st.one_of(
     # collect garbage, dropping these pool entries from the roots
     st.tuples(st.just("gc"), st.frozensets(operand, min_size=1, max_size=4)),
 )
+# restrict an operand to a cube, given as variable -> literal sign
+cofactor_step = st.tuples(
+    st.just("cofactor"),
+    st.dictionaries(st.integers(min_value=0, max_value=NVARS - 1), st.booleans()),
+    operand,
+)
 
 TABLE_OPS = {
     "and": lambda x, y: x and y,
@@ -68,7 +79,7 @@ TABLE_OPS = {
 def check(store, pool, h, want):
     assert truth_table(store, h, NVARS) == want
     # every node of the result is live, not a swept slot
-    assert all(store._unique.get((v, t, f)) == n for n, v, t, f in store.iter_nodes(h))
+    assert all(store.mk_node(v, t, f) == n for n, v, t, f in store.iter_nodes(h))
     assert all(g == h for g, t in pool if t == want), "one function, two handles"
 
 
@@ -106,6 +117,13 @@ def run_program(store, steps):
             qs, (a, ta), (b, tb) = args[0], pick(args[1]), pick(args[2])
             operands, call = (a, b), partial(store.and_exists, qs, a, b)
             want = exists_table(tuple(x and y for x, y in zip(ta, tb)), qs, NVARS)
+        elif kind == "cofactor":
+            lits, (a, ta) = args[0], pick(args[1])
+            tc = truth_table(store, stick_of(store, lits), NVARS)
+            operands = (a,)
+            # the cube is rebuilt on each call, so a collection cannot sweep it
+            call = partial(cofactor_as_and_exists, store, a, lits)
+            want = exists_table(tuple(x and y for x, y in zip(ta, tc)), lits, NVARS)
         else:
             (a, ta), (b, tb) = pick(args[0]), pick(args[1])
             operands, call = (a, b), partial(getattr(store, f"apply_{kind}"), a, b)
@@ -115,12 +133,28 @@ def run_program(store, steps):
         pool.append((h, want))
         done.append((operands, h, call, want))
     store.audit()
+    assert not any(map(gc.is_tracked, hot_tables(store)))
+
+
+def cofactor_as_and_exists(store, a, lits):
+    """cofactor(a, cube), checked against and_exists over the cube's bits."""
+    cube = stick_of(store, lits)
+    r = store.cofactor(a, cube)
+    assert r == store.and_exists(store.var_set(cube), a, cube)
+    return r
 
 
 @pytest.mark.parametrize("debug_checks", [False, True])
 @PROPERTY_SETTINGS
 @given(steps=st.lists(step, min_size=4, max_size=40))
 def test_kernel_ops_match_truth_tables_under_gc(debug_checks, steps):
+    run_program(NodeStore(debug_checks=debug_checks), steps)
+
+
+@pytest.mark.parametrize("debug_checks", [False, True])
+@PROPERTY_SETTINGS
+@given(steps=st.lists(st.one_of(step, cofactor_step), min_size=4, max_size=40))
+def test_cofactor_is_and_exists_of_the_cube_under_gc(debug_checks, steps):
     run_program(NodeStore(debug_checks=debug_checks), steps)
 
 
@@ -144,7 +178,7 @@ def state_of(st):
 def assert_live(store, handles):
     for h in handles:
         for n, v, t, f in store.iter_nodes(h):
-            assert store._unique.get((v, t, f)) == n, "handle lost to a collection"
+            assert store.mk_node(v, t, f) == n, "handle lost to a collection"
 
 
 # a level: branch decisions (variable, element index, value), then

@@ -1,9 +1,12 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
 from bddsets.engine import NodeStore, TRUE
+from bddsets.models import HammingSpec, SteinerSpec, build_hamming, build_steiner
 from bddsets.propagate import State
 from bddsets.search import (
     SearchResult,
@@ -246,9 +249,47 @@ def test_search_with_aggressive_garbage_collection(store):
     gc_state._gc_trigger = 1
     gc_state.cache_clear_trigger = 1
     collected = solve(gc_state, all_solutions=True)
-    assert gc_state.store._free or gc_state.store._cache == {}
+    assert gc_state.store._free or gc_state.store.cache_entries() == 0
     assert collected.status == plain.status
     assert collected.fails == plain.fails
     assert {(s["x"], s["y"]) for s in collected.solutions} == {
         (s["x"], s["y"]) for s in plain.solutions
     }
+
+
+@pytest.mark.parametrize(
+    "build, mode",
+    [
+        (lambda: build_steiner(SteinerSpec(t=2, k=3, n=7)), "domain"),
+        (lambda: build_steiner(SteinerSpec(t=2, k=3, n=7)), "split"),
+        (lambda: build_hamming(HammingSpec(l=5, d=3, w=2, n=2)), "lex"),
+        (lambda: build_hamming(HammingSpec(l=5, d=3, w=2, n=2)), "card"),
+    ],
+)
+def test_solved_store_freed_without_the_cycle_collector(build, mode):
+    # model build, search and propagation leave no cycle through the store,
+    # so a solved model's store goes as soon as the caller drops the state
+    # and the model
+    gc.collect()
+    gc.disable()
+    try:
+        model = build()
+        state = State(model.store, model.vars, model.constraints, mode=mode)
+        res = solve(state, model.strategy, branch_vars=model.branch_vars, all_solutions=True)
+        assert res.solutions
+        ref = weakref.ref(model.store)
+        del state, model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_optimize_keeps_best_when_a_build_hits_the_node_limit():
+    def build(n):
+        model = build_hamming(HammingSpec(l=3, d=3, w=1, n=n), node_limit=50)
+        state = State(model.store, model.vars, model.constraints, mode="domain")
+        return state, model.strategy, model.branch_vars
+
+    best, status, fails = optimize_incremental(build)
+    assert status == "nodelimit" and fails == 0
+    assert best[0] == 1
