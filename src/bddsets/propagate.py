@@ -20,11 +20,26 @@ specialising a constraint to the sticks of its scope, that is quantifying
 the stick bits out of its conjunction with them, is a cofactor: the
 constraint restricted to the conjoined sticks (NodeStore.cofactor).
 
+Projection divides the scope in halves and quantifies a half away one
+variable at a time: each step is one and_exists over that variable's bits
+that also conjoins its remainder.  A remainder mentions only its own
+variable's bits, so this is exact early quantification over a
+conjunctively partitioned product (Burch, Clarke & Long, 1991), and the
+product of a half's remainders is never built.
+
+A constraint is retired (marked inactive) once running it again cannot
+change a domain: when specialising it leaves TRUE, and, in domain and
+split modes, which absorb projections exactly, once at most one variable
+of its scope is unfixed, so that the domains imply it.  Bounds, card and
+lex keep only an abstraction of the projection, so there a constraint
+with non-TRUE specialisation stays active.
+
 All propagators are monotone, hence the fixpoint reached is independent
 of queue order.  Every change to a domain, a constraint or its active
 flag is trailed as (array, index, old value) so search can backtrack, and
 whole propagator runs are memoised on (constraint handle, scope domain
-handles) so revisiting a search node is nearly free.
+handles) so revisiting a search node is nearly free.  propagate() takes
+an optional deadline, checked between runs.
 
 Precondition: each constraint's BDD mentions only bits of the variables
 in its scope.  State() checks this once and raises ValueError otherwise,
@@ -33,6 +48,7 @@ so a projection onto one variable needs no further quantification.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 
 from .analysis import card_bounds, fixed_literals, lex_bounds, split
@@ -41,6 +57,10 @@ from .engine import FALSE, TRUE, NodeStore
 MODES = ("domain", "bounds", "split", "card", "lex")
 
 _FAIL = ("fail",)  # cache marker
+
+
+class DeadlineExceeded(Exception):
+    """Raised by State.propagate when its deadline has passed."""
 
 
 def _stray_bit(store: NodeStore, a: int, bits) -> int | None:
@@ -259,8 +279,11 @@ class State:
         """Projections of phi /\\ scope domains onto each scope variable.
 
         Divide and conquer over the scope: each half is quantified away
-        after conjoining its remainder domains, so every projection costs
-        O(log n) conjunction steps.  Returns None on a wipeout.
+        one variable at a time, conjoining that variable's remainder in
+        the same and_exists, so every projection costs O(log n) halvings
+        and no product of remainders is ever built.  Each remainder
+        mentions only its own variable's bits, so this equals quantifying
+        the whole half out of its conjunction.  Returns None on a wipeout.
 
         Each stack entry (p, keep, drop) projects p onto the variables of
         keep after quantifying away those of drop; the left half is
@@ -271,9 +294,8 @@ class State:
         stack = [(phi, list(scope), ())]
         while stack:
             p, keep, drop = stack.pop()
-            if drop:
-                bits = frozenset().union(*(bitsets[vi] for vi in drop))
-                p = store.and_exists(bits, p, store.conjoin([rem[vi] for vi in drop]))
+            for vi in reversed(drop):
+                p = store.and_exists(bitsets[vi], p, rem[vi])
             if len(keep) == 1:
                 out[keep[0]] = store.apply_and(p, rem[keep[0]])
                 continue
@@ -284,6 +306,26 @@ class State:
         if any(out[vi] == FALSE for vi in scope):
             return None
         return out
+
+    def _fixed(self, vi) -> bool:
+        """Whether variable vi's domain is a single value.
+
+        In domain and split modes the stick and the remainder mention
+        disjoint bits, so the domain is one value exactly when both are
+        cubes whose literals together cover every bit.
+        """
+        hi, lo = self.store._hi, self.store._lo
+        n = len(self.bits[vi])
+        for a in (self.stick[vi], self.rem[vi]):
+            while a > 1:
+                if hi[a] == FALSE:
+                    a = lo[a]
+                elif lo[a] == FALSE:
+                    a = hi[a]
+                else:
+                    return False
+                n -= 1
+        return n == 0
 
     def _run(self, ci) -> bool:
         store = self.store
@@ -324,17 +366,32 @@ class State:
                 self._prop_cache[key] = _FAIL
                 return False
         still_active = self.active[ci]
-        if still_active and len(scope) == 1 and self.mode in ("domain", "split"):
-            # a unary constraint is absorbed exactly by these two modes
+        if (
+            still_active
+            and self.mode in ("domain", "split")
+            and sum(not self._fixed(vi) for vi in scope) <= 1
+        ):
+            # these two modes absorb the projections exactly, so once at
+            # most one scope variable is unfixed the domains imply the
+            # constraint and running it again cannot change them
             self._set(self.active, ci, False)
             still_active = False
         pairs = tuple((self.stick[vi], self.rem[vi]) for vi in scope)
         self._prop_cache[key] = (self.cons[ci], still_active, pairs)
         return True
 
-    def propagate(self) -> bool:
-        """Run the queue to fixpoint.  False means failure (domain wipeout)."""
+    def propagate(self, deadline: float | None = None) -> bool:
+        """Run the queue to fixpoint.  False means failure (domain wipeout).
+
+        With a deadline, a time.perf_counter() value, the clock is read
+        before each propagator run and DeadlineExceeded is raised once it
+        reaches the deadline.  Runs are never cut short, so the state is
+        then consistent: undo() backtracks it, and propagate() resumes the
+        queue where it stopped.
+        """
         while self.queue:
+            if deadline is not None and time.perf_counter() >= deadline:
+                raise DeadlineExceeded
             ci = self.queue.popleft()
             self._inq.discard(ci)
             if not self.active[ci]:

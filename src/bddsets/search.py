@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .engine import NodeLimitExceeded
+from .propagate import DeadlineExceeded
 
 VAR_ORDERS = ("seq", "first_fail")
 VALUE_ORDERS = ("largest", "smallest")
@@ -91,8 +92,10 @@ def solve(
         order = [state.var_index(v) for v in branch_vars]
         order += [i for i in range(len(state.vars)) if i not in set(order)]
 
+    deadline = None if time_limit is None else t0 + time_limit
+
     def deadline_check():
-        if time_limit is not None and time.perf_counter() - t0 > time_limit:
+        if deadline is not None and time.perf_counter() >= deadline:
             raise _Stop("timeout")
 
     def pick():
@@ -135,20 +138,19 @@ def solve(
             res.nodes += 1
             m = state.mark()
             state.maintain()
-            if state.assign_bit(vi, bit, value) and state.propagate():
-                if on_step is not None:
-                    on_step(state, res.nodes)
-                try:
+            try:
+                if state.assign_bit(vi, bit, value) and state.propagate(deadline):
+                    if on_step is not None:
+                        on_step(state, res.nodes)
                     dfs()
-                finally:
-                    state.undo(m)
-            else:
-                res.fails += 1
+                else:
+                    res.fails += 1
+            finally:
                 state.undo(m)
 
     try:
         state.enqueue_all()
-        if state.propagate():
+        if state.propagate(deadline):
             if on_step is not None:
                 on_step(state, 0)
             dfs()
@@ -157,6 +159,8 @@ def solve(
                 res.status = "unsat"
     except _Stop as stop:
         res.status = stop.status
+    except DeadlineExceeded:
+        res.status = "timeout"
     except NodeLimitExceeded:
         res.status = "nodelimit"
     finally:

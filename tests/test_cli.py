@@ -205,7 +205,7 @@ def test_report_row_solve(tmp_path):
         "fails": 47,
         "nodes": 94,
         "optimum": "",
-        "peak_nodes": 19876,
+        "peak_nodes": 15807,
     }
 
 

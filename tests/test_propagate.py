@@ -286,11 +286,25 @@ def test_entailed_constraint_retired_everywhere():
         ]
         st, ok = make_state(s, [x, y], cons, mode)
         assert ok
-        if mode == "domain":
-            # no stick specialisation happens, but y stays unconstrained
-            assert st.domain_bdd(y) == TRUE
-        else:
-            assert st.active[1] is False
+        assert st.domain_bdd(y) == TRUE
+        assert st.active[1] is False
+
+
+def test_binary_retirement_by_mode():
+    # with x = {1, 2} fixed, |x & y| <= 1 leaves "at most one of 1, 2 in y":
+    # domain and split keep that exactly and retire the constraint; bounds,
+    # card and lex cannot, so it stays active there
+    for mode in MODES:
+        s = NodeStore()
+        x, y = alloc_set_vars(s, Universe(3), ["x", "y"])
+        cons = [
+            ConstraintBdd(eq_const(s, x, {1, 2}), (x,)),
+            ConstraintBdd(inter_card_atmost(s, x, y, 1), (x, y)),
+        ]
+        st, ok = make_state(s, [x, y], cons, mode)
+        assert ok
+        assert not st.is_determined(y)
+        assert st.active[1] is (mode not in ("domain", "split")), mode
 
 
 def test_propagation_cache_reused(store):

@@ -19,6 +19,14 @@ each level marks the trail, makes random branch decisions with
 propagation, and may collect garbage from the state's roots.  Undoing the
 levels in reverse must restore every domain, constraint and active flag
 exactly, with every restored handle still a live node.
+
+The propagation properties check State._project against quantifying the
+conjunction of a random constraint and random domains by brute force;
+that every constraint retired during random walks of decisions and undos
+is implied by its scope's domains, so running it again would change
+nothing; and that after the same decisions the five modes are ordered by
+strength: domain and split reach equal domains, which lie within the card
+and lex domains, which lie within the bounds domains.
 """
 
 import gc
@@ -36,6 +44,7 @@ from bddsets.sets import (
     Universe,
     alloc_set_vars,
     card_le,
+    eq_const,
     inter_card_atmost,
     lexlt,
     subseteq,
@@ -213,3 +222,132 @@ def test_undo_restores_state_in_every_mode(mode, levels):
         s.undo(mark)
         assert state_of(s) == before
         assert_live(s.store, s.stick + s.rem + s.cons)
+
+
+# a random function over a list of bits: a disjunction of cubes, each cube
+# mapping a bit position (modulo the list's length) to its sign
+cube = st.dictionaries(st.integers(min_value=0, max_value=14), st.booleans(), max_size=4)
+dnf = st.lists(cube, min_size=1, max_size=5)
+
+
+def function_of(store, bits, cubes):
+    return store.disjoin(
+        stick_of(store, {bits[i % len(bits)]: sign for i, sign in c.items()})
+        for c in cubes
+    )
+
+
+@PROPERTY_SETTINGS
+@given(
+    universe=st.integers(min_value=1, max_value=3),
+    order=st.permutations(range(5)),
+    size=st.integers(min_value=2, max_value=5),
+    phi=st.lists(dnf, min_size=1, max_size=2),
+    domains=st.lists(dnf, min_size=5, max_size=5),
+)
+def test_project_matches_brute_force(universe, order, size, phi, domains):
+    store = NodeStore()
+    s = State(store, alloc_set_vars(store, Universe(universe), "abcde"), [])
+    scope = tuple(order[:size])
+    scope_bits = [b for vi in scope for b in s.bits[vi]]
+    # a conjunction of two disjunctions may be FALSE
+    p = store.conjoin(function_of(store, scope_bits, f) for f in phi)
+    for vi in scope:
+        s.rem[vi] = function_of(store, s.bits[vi], domains[vi])
+    conj = store.conjoin([p] + [s.rem[vi] for vi in scope])
+    want = {
+        vi: store.apply_and(store.exists(set(scope_bits) - s.bitsets[vi], conj), s.rem[vi])
+        for vi in scope
+    }
+    got = s._project(p, scope)
+    if FALSE in want.values():
+        assert got is None
+    else:
+        assert got == want
+
+
+def check_retired(s, original):
+    """Every retired constraint is implied by its scope's domains, and
+    projecting it onto each of them again changes no domain."""
+    store = s.store
+    for ci, scope in enumerate(s.scopes):
+        if s.active[ci]:
+            continue
+        doms = [s.domain_bdd(vi) for vi in scope]
+        conj = store.conjoin(doms)
+        assert store.apply_and(conj, store.negate(original[ci])) == FALSE
+        both = store.apply_and(conj, original[ci])
+        for vi, dom in zip(scope, doms):
+            others = frozenset().union(*(s.bitsets[w] for w in scope if w != vi))
+            assert store.exists(others, both) == dom
+
+
+@pytest.mark.parametrize("mode", ["domain", "split"])
+@PROPERTY_SETTINGS
+@given(steps=st.lists(st.one_of(decision, st.just("undo")), min_size=4, max_size=16))
+def test_retired_constraints_are_implied_by_the_domains(mode, steps):
+    s = trail_problem(mode)
+    original = list(s.cons)
+    assert s.propagate_from_scratch()
+    check_retired(s, original)
+    marks = []
+    for step in steps:
+        if step == "undo":
+            if marks:
+                s.undo(marks.pop())
+        else:
+            vi, i, value = step
+            marks.append(s.mark())
+            if not (s.assign_bit(vi, s.bits[vi][i], value) and s.propagate()):
+                s.undo(marks.pop())
+        check_retired(s, original)
+
+
+def subset(store, a, b):
+    return store.apply_and(a, store.negate(b)) == FALSE
+
+
+# (stronger, weaker) pairs of modes; domain and split are equally strong
+STRONGER = [
+    ("domain", "split"),
+    ("split", "domain"),
+    ("domain", "card"),
+    ("domain", "lex"),
+    ("card", "bounds"),
+    ("lex", "bounds"),
+]
+
+
+@PROPERTY_SETTINGS
+@given(decisions=st.lists(decision, min_size=1, max_size=8))
+def test_modes_are_ordered_by_strength(decisions):
+    store = NodeStore()
+    x, y, z = alloc_set_vars(store, Universe(4), ["x", "y", "z"])
+    cons = [
+        ConstraintBdd(subseteq(store, x, y), (x, y)),
+        ConstraintBdd(union_eq(store, z, x, y), (z, x, y)),
+        ConstraintBdd(lexlt(store, x, z), (x, z)),
+        ConstraintBdd(inter_card_atmost(store, x, z, 1), (x, z)),
+        ConstraintBdd(
+            store.apply_or(eq_const(store, y, {1, 2, 4}), card_le(store, y, 2)), (y,)
+        ),
+    ]
+    # the modes without a wipeout so far, all making the same decisions
+    live = {m: State(store, [x, y, z], cons, mode=m) for m in MODES}
+    ok = {m: s.propagate_from_scratch() for m, s in live.items()}
+    for step in [None, *decisions]:
+        if step is not None:
+            vi, i, value = step
+            ok = {
+                m: s.assign_bit(vi, s.bits[vi][i], value) and s.propagate()
+                for m, s in live.items()
+            }
+        for strong, weak in STRONGER:
+            if strong in ok and weak in ok:
+                assert ok[strong] <= ok[weak], (strong, weak)
+        live = {m: s for m, s in live.items() if ok[m]}
+        for vi in range(3):
+            dom = {m: s.domain_bdd(vi) for m, s in live.items()}
+            for strong, weak in STRONGER:
+                if strong in dom and weak in dom:
+                    assert subset(store, dom[strong], dom[weak]), (strong, weak)

@@ -2,9 +2,11 @@ import gc
 import itertools
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
+from bddsets import propagate, search
 from bddsets.engine import NodeStore, TRUE
 from bddsets.models import HammingSpec, SteinerSpec, build_hamming, build_steiner
 from bddsets.propagate import State
@@ -169,6 +171,57 @@ def test_time_limit(store):
     st = State(store, [x], [], mode="domain")
     res = solve(st, all_solutions=True, time_limit=0.0)
     assert res.status == "timeout"
+
+
+def test_zero_time_limit_runs_no_propagator():
+    model = build_steiner(SteinerSpec(2, 3, 7))
+    st = State(model.store, model.vars, model.constraints)
+    res = solve(st, model.strategy, branch_vars=model.branch_vars, time_limit=0.0)
+    assert res.status == "timeout"
+    assert st.runs == 0 and res.nodes == 0
+    # the deadline is checked before a constraint leaves the queue
+    assert sorted(st.queue) == list(range(len(st.cons)))
+
+
+def test_timeout_in_root_propagation_leaves_state_consistent(monkeypatch):
+    model = build_steiner(SteinerSpec(2, 3, 7))
+    fresh = State(model.store, model.vars, model.constraints)
+    assert fresh.propagate_from_scratch()
+    # a clock that ticks once per reading: solve starts it at 0, and
+    # propagate reads it before each queue entry, so the deadline of 10
+    # ticks falls after at most 9 runs, long before the root fixpoint
+    ticks = itertools.count()
+    clock = SimpleNamespace(perf_counter=lambda: next(ticks))
+    monkeypatch.setattr(search, "time", clock)
+    monkeypatch.setattr(propagate, "time", clock)
+    st = State(model.store, model.vars, model.constraints)
+    res = solve(st, model.strategy, branch_vars=model.branch_vars, time_limit=10)
+    assert res.status == "timeout" and res.nodes == 0
+    assert 0 < st.runs < fresh.runs
+    fixpoint = (fresh.stick, fresh.rem, fresh.cons, fresh.active)
+    # no run was cut short, so the queue resumes where it stopped ...
+    assert st.propagate()
+    assert (st.stick, st.rem, st.cons, st.active) == fixpoint
+    # ... and undo restores the state propagation started from
+    st.undo(0)
+    assert st.propagate_from_scratch()
+    assert (st.stick, st.rem, st.cons, st.active) == fixpoint
+
+
+def test_node_limit_in_search_undoes_to_the_root_fixpoint():
+    # limits from just above the root fixpoint's table size: the ceiling is
+    # hit in the first choices' propagation, at depth 1 as well as deeper
+    model = build_steiner(SteinerSpec(2, 3, 7))
+    assert State(model.store, model.vars, model.constraints).propagate_from_scratch()
+    at_root = model.store.node_count()
+    for limit in range(at_root + 1, at_root + 60):
+        model = build_steiner(SteinerSpec(2, 3, 7), node_limit=limit)
+        st = State(model.store, model.vars, model.constraints)
+        assert st.propagate_from_scratch()
+        root = (list(st.stick), list(st.rem), list(st.cons), list(st.active))
+        res = solve(st, model.strategy, branch_vars=model.branch_vars)
+        assert res.status == "nodelimit" and res.nodes > 0
+        assert (st.stick, st.rem, st.cons, st.active) == root, limit
 
 
 def test_search_leaves_state_restored(store):
