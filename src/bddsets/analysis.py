@@ -76,11 +76,6 @@ def stick_of(store: NodeStore, literals: dict[int, bool]) -> int:
     return acc
 
 
-def fixed_vars(store: NodeStore, a: int) -> int:
-    """The stick BDD of all fixed literals of a (the conv closure's bounds)."""
-    return stick_of(store, fixed_literals(store, a))
-
-
 # When true, every split re-checks its defining properties: the parts
 # reconjoin to the input and together are never larger than it.  Enabled
 # by the test suite; off in production, where the check would dominate.

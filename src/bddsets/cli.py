@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -56,14 +55,17 @@ _VAR_ORDER_FLAGS = {"seq": "seq", "first-fail": "first_fail"}
 _BRANCH_FLAGS = {"notin-first": "not_in_first", "in-first": "in_first"}
 
 
-def _env_limit(name, cast):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"environment variable {name} must be a number, got {raw!r}")
+def _at_least(cast, low):
+    """An argparse type: a number parsed by cast that is at least low."""
+
+    def parse(raw):
+        value = cast(raw)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {raw}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in its own errors
+    return parse
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -77,16 +79,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-order", choices=["largest", "smallest"], default=None)
     p.add_argument("--branch", choices=sorted(_BRANCH_FLAGS), default=None)
     p.add_argument("--target", choices=["first", "all", "optimize"], default="first")
-    p.add_argument("--max-solutions", type=int, default=None)
-    p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--max-solutions", type=_at_least(int, 1), default=None)
+    p.add_argument("--node-limit", type=_at_least(int, 1), default=None)
+    p.add_argument("--time-limit", type=_at_least(float, 0), default=None)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv", dest="fmt")
-    p.add_argument(
-        "--include-build-time",
-        action="store_true",
-        help="count model construction in the reported time",
-    )
     return p
 
 
@@ -130,13 +127,7 @@ def _domain_stats(state):
 
 
 def run(args, out=sys.stdout) -> int:
-    node_limit = args.node_limit
-    if node_limit is None:
-        node_limit = _env_limit("BDDSETS_NODE_LIMIT", int)
-    time_limit = args.time_limit
-    if time_limit is None:
-        time_limit = _env_limit("BDDSETS_TIME_LIMIT", float)
-
+    node_limit, time_limit = args.node_limit, args.time_limit
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
             parsed = parse_instance(fh.read())
@@ -191,7 +182,7 @@ def run(args, out=sys.stdout) -> int:
             st = State(model.store, model.vars, model.constraints, mode=args.mode)
             return st, strategy_holder["s"], model.branch_vars
 
-        t0 = build_start if args.include_build_time else time.perf_counter()
+        t0 = time.perf_counter()
         best, status, fails = optimize_incremental(build, time_limit=time_limit)
         return report(
             strategy_holder.get("s") or _resolve_strategy(Strategy(), args),
@@ -200,7 +191,8 @@ def run(args, out=sys.stdout) -> int:
             fails,
             "",
             best[0] if best is not None else "",
-            max(peaks + [s.node_count() for s in stores], default=node_limit),
+            # 0 when the time ran out before any model was built
+            max(peaks + [s.node_count() for s in stores], default=0),
             time.perf_counter() - t0,
         )
 
@@ -215,7 +207,7 @@ def run(args, out=sys.stdout) -> int:
     strategy = _resolve_strategy(model.strategy, args)
     state = State(model.store, model.vars, model.constraints, mode=args.mode)
 
-    t0 = build_start if args.include_build_time else time.perf_counter()
+    t0 = time.perf_counter()
     on_step = None
     if args.trace:
         def on_step(st, step):

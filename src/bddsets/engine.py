@@ -44,7 +44,7 @@ containers, so those are cleared in place and never rebound.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 FALSE = 0
 TRUE = 1
@@ -316,10 +316,6 @@ class NodeStore:
     def new_vars(self, count: int) -> list[int]:
         return [self.new_var() for _ in range(count)]
 
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
-
     def node_count(self) -> int:
         """Size of the node table (live nodes plus recyclable slots)."""
         return len(self._var) - 2
@@ -411,15 +407,6 @@ class NodeStore:
 
     def apply_imp(self, a: int, b: int) -> int:
         return self.apply_or(self.negate(a), b)
-
-    def apply_binary(self, op: str, a: int, b: int) -> int:
-        fn = {
-            "and": self.apply_and,
-            "or": self.apply_or,
-            "xor": self.apply_xor,
-            "iff": self.apply_iff,
-        }[op]
-        return fn(a, b)
 
     def negate(self, a: int) -> int:
         return self._not(a)
@@ -517,19 +504,6 @@ class NodeStore:
             a = hi[a] if assignment.get(var[a], False) else lo[a]
         return a == 1
 
-    def iter_nodes(self, a: int) -> Iterator[tuple[int, int, int, int]]:
-        """Yield (handle, var, hi, lo) for each internal node reachable from a."""
-        seen = set()
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x <= 1 or x in seen:
-                continue
-            seen.add(x)
-            yield x, self._var[x], self._hi[x], self._lo[x]
-            stack.append(self._hi[x])
-            stack.append(self._lo[x])
-
     def audit(self) -> None:
         """Verify reducedness and orderedness of every node in the store."""
         freed = set(self._free)
@@ -543,18 +517,6 @@ class NodeStore:
                 raise AssertionError(f"ordering violated at node {h}")
             if self._unique.get((v << 32 | t) << 32 | f) != h:
                 raise AssertionError(f"unique table inconsistent at node {h}")
-
-    def to_dot(self, a: int, name: str = "bdd") -> str:
-        """Render a as Graphviz DOT: solid then-arcs, dashed else-arcs."""
-        lines = [f"digraph {name} {{"]
-        lines.append('  n0 [shape=box, label="0"];')
-        lines.append('  n1 [shape=box, label="1"];')
-        for h, v, t, f in self.iter_nodes(a):
-            lines.append(f'  n{h} [shape=circle, label="v{v}"];')
-            lines.append(f"  n{h} -> n{t} [style=solid];")
-            lines.append(f"  n{h} -> n{f} [style=dashed];")
-        lines.append("}")
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # bulk helpers

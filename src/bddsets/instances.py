@@ -161,8 +161,3 @@ def build_from_instance(parsed: dict, node_limit=None) -> Model:
         except ValueError as exc:
             raise InstanceError(str(exc)) from exc
     raise InstanceError(f"unknown problem type {problem!r}")
-
-
-def load_instance(path, node_limit=None) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_from_instance(parse_instance(fh.read()), node_limit=node_limit)

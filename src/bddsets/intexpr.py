@@ -181,9 +181,6 @@ class IntVarExpr:
         self.bits = bits
         self.expr = tuple(store.literal(b) for b in bits)
 
-    def bit_set(self) -> frozenset[int]:
-        return frozenset(self.bits)
-
     def __repr__(self):
         return f"IntVarExpr({self.name})"
 
@@ -238,9 +235,6 @@ class MultisetVar:
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple(b for bundle in self.bundles for b in bundle.bits)
-
-    def bit_set(self) -> frozenset[int]:
-        return frozenset(self.bits)
 
     def __repr__(self):
         return f"MultisetVar({self.name})"

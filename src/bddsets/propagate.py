@@ -198,21 +198,7 @@ class State:
         return fixed_literals(self.store, self.domain_bdd(v))
 
     def is_determined(self, v) -> bool:
-        vi = v if isinstance(v, int) else self._index[id(v)]
-        return len(self.fixed_bit_values(vi)) == len(self.bits[vi])
-
-    def all_determined(self) -> bool:
-        return all(self.is_determined(i) for i in range(len(self.vars)))
-
-    def set_value(self, v) -> frozenset:
-        """The single remaining set value of a determined set variable."""
-        vi = self._index[id(v)]
-        fixed = self.fixed_bit_values(vi)
-        if len(fixed) != len(self.bits[vi]):
-            raise ValueError(f"{v!r} is not determined")
-        return frozenset(
-            i + 1 for i, b in enumerate(self.bits[vi]) if fixed[b]
-        )
+        return self._fixed(v if isinstance(v, int) else self._index[id(v)])
 
     # -- queue ---------------------------------------------------------
 
@@ -260,9 +246,7 @@ class State:
 
     def assign(self, v, element, member=True) -> bool:
         """Branch decision: force element in (or out of) set variable v."""
-        vi = self._index[id(v)]
-        bit = self.bits[vi][element - 1]
-        return self.assign_bit(vi, bit, member)
+        return self.assign_bit(self._index[id(v)], v.bit(element), member)
 
     def assign_bit(self, vi, bit, value) -> bool:
         store = self.store
@@ -310,9 +294,9 @@ class State:
     def _fixed(self, vi) -> bool:
         """Whether variable vi's domain is a single value.
 
-        In domain and split modes the stick and the remainder mention
-        disjoint bits, so the domain is one value exactly when both are
-        cubes whose literals together cover every bit.
+        In every mode the stick and the remainder mention disjoint bits,
+        so the domain is one value exactly when both are cubes whose
+        literals together cover every bit.
         """
         hi, lo = self.store._hi, self.store._lo
         n = len(self.bits[vi])

@@ -72,17 +72,15 @@ def solve(
     all_solutions: bool = False,
     max_solutions: int | None = None,
     time_limit: float | None = None,
-    on_solution=None,
     on_step=None,
 ) -> SearchResult:
     """Run depth-first search from the current state.
 
     branch_vars restricts the labeling order to a subset of variables (the
     rest must become determined by propagation, or they are labeled bit by
-    bit afterwards).  on_solution, if given, is called with the state at
-    each solution instead of storing a snapshot.  on_step, if given, is
-    called as on_step(state, step) after the initial propagation (step 0)
-    and after every successful labeling step.
+    bit afterwards).  on_step, if given, is called as on_step(state, step)
+    after the initial propagation (step 0) and after every successful
+    labeling step.
     """
     t0 = time.perf_counter()
     res = SearchResult(status="unsat")
@@ -116,11 +114,7 @@ def solve(
         return vi, state.bits[vi][pos]
 
     def record():
-        if on_solution is not None:
-            on_solution(state)
-            res.solutions.append(True)
-        else:
-            res.solutions.append(snapshot(state))
+        res.solutions.append(snapshot(state))
         if max_solutions is not None and len(res.solutions) >= max_solutions:
             raise _Stop("sat")
         if not all_solutions:
@@ -176,11 +170,11 @@ def solve(
     return res
 
 
-def optimize_incremental(build, start: int = 1, time_limit: float | None = None):
+def optimize_incremental(build, time_limit: float | None = None):
     """Find the largest n for which build(n) is satisfiable.
 
     build(n) returns a ready-to-solve (state, strategy, branch_vars)
-    triple; instances are solved for n = start, start+1, ... until one is
+    triple; instances are solved for n = 1, 2, ... until one is
     unsatisfiable, which proves optimality of the previous n.  Returns a
     (best, status, fails) tuple: best is (n, solution), or None when even
     the first instance has no solution; status is "optimal", "timeout" or
@@ -190,7 +184,7 @@ def optimize_incremental(build, start: int = 1, time_limit: float | None = None)
     t0 = time.perf_counter()
     best = None
     total_fails = 0
-    n = start
+    n = 1
     while True:
         remaining = None
         if time_limit is not None:

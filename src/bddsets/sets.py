@@ -44,9 +44,6 @@ class SetVar:
             raise ValueError(f"element {element} outside universe 1..{self.universe.n}")
         return self.bits[element - 1]
 
-    def bit_set(self) -> frozenset[int]:
-        return frozenset(self.bits)
-
     def __repr__(self):
         return f"SetVar({self.name})"
 
@@ -297,17 +294,3 @@ def inter_card_atmost(store, v: SetVar, w: SetVar, k: int) -> int:
         for bv, bw in zip(v.bits, w.bits)
     ]
     return card_formulas(store, formulas, 0, k)
-
-
-def conjoin_project(store, constraints, keep) -> ConstraintBdd:
-    """Conjoin constraint BDDs and quantify away bits of unkept variables."""
-    keep = list(keep)
-    keep_bits = set()
-    for v in keep:
-        keep_bits.update(v.bits)
-    conj = TRUE
-    for c in constraints:
-        bdd = c.bdd if isinstance(c, ConstraintBdd) else c
-        conj = store.apply_and(conj, bdd)
-    drop = frozenset(store.var_set(conj) - keep_bits)
-    return ConstraintBdd(store.exists(drop, conj), scope=tuple(keep))

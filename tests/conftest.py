@@ -36,7 +36,12 @@ def random_bdd(store, nvars, rng, depth=0):
     a = random_bdd(store, nvars, rng, depth + 1)
     b = random_bdd(store, nvars, rng, depth + 1)
     op = rng.choice(["and", "or", "xor", "iff"])
-    return store.apply_binary(op, a, b)
+    return apply_op(store, op, a, b)
+
+
+def apply_op(store, op, a, b):
+    """a op b, for op one of "and", "or", "xor" and "iff"."""
+    return getattr(store, f"apply_{op}")(a, b)
 
 
 def models_of(store, a, var_list):

@@ -53,6 +53,8 @@ from bddsets.sets import (
     union_eq,
 )
 
+from conftest import apply_op
+
 FULL = os.environ.get("BDDSETS_ACCEPTANCE_FULL") == "1"
 
 
@@ -423,7 +425,7 @@ def build_direct(store, tree):
     if tree[0] == "not":
         return store.negate(build_direct(store, tree[1]))
     a, b = build_direct(store, tree[1]), build_direct(store, tree[2])
-    return store.apply_binary(tree[0], a, b)
+    return apply_op(store, tree[0], a, b)
 
 
 def build_demorgan(store, tree):

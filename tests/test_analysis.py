@@ -8,16 +8,21 @@ from bddsets.analysis import (
     card_bounds,
     count_cardinality,
     fixed_literals,
-    fixed_vars,
     lex_bounds,
     lex_lower,
     lex_upper,
     split,
+    stick_of,
 )
 from bddsets.engine import FALSE, TRUE
 from bddsets.sets import card
 
 from conftest import models_of, random_bdd
+
+
+def fixed_vars(store, a):
+    """The stick of all fixed literals of a (the conv closure's bounds)."""
+    return stick_of(store, fixed_literals(store, a))
 
 
 def build_fig1(store):
@@ -119,7 +124,7 @@ def test_count_cardinality_example_6_4(store):
     u = Universe(3)
     x, y = alloc_set_vars(store, u, ["x", "y"])
     c = lexlt(store, x, y)
-    delta_x = store.exists(y.bit_set(), c)
+    delta_x = store.exists(y.bits, c)
     assert count_cardinality(store, delta_x, sorted(x.bits)) == (0, 2)
 
 

@@ -144,15 +144,23 @@ def test_time_limit_mark(tmp_path):
     assert row["status"] == "—"
 
 
-def test_env_limits(tmp_path, monkeypatch):
-    path = write(tmp_path, GOLFERS)
-    monkeypatch.setenv("BDDSETS_NODE_LIMIT", "2000")
-    code, out = run_cli([path])
-    (row,) = report_rows(out)
-    assert row["status"] == "×"
-    monkeypatch.setenv("BDDSETS_NODE_LIMIT", "lots")
-    with pytest.raises(SystemExit):
-        run_cli([path])
+@pytest.mark.parametrize(
+    "flag,below,lowest",
+    [
+        ("--max-solutions", ["-3", "0"], 1),
+        ("--node-limit", ["-5", "0"], 1),
+        ("--time-limit", ["-0.5", "nan"], 0),
+    ],
+)
+def test_limit_below_its_range_exits_2(capsys, flag, below, lowest):
+    parser = cli.make_parser()
+    for raw in below:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["inst.txt", flag, raw])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+    args = parser.parse_args(["inst.txt", flag, str(lowest)])
+    assert getattr(args, flag[2:].replace("-", "_")) == lowest
 
 
 # Every report row pinned field for field, except its time.  The three
@@ -205,7 +213,7 @@ def test_report_row_solve(tmp_path):
         "fails": 47,
         "nodes": 94,
         "optimum": "",
-        "peak_nodes": 15807,
+        "peak_nodes": 15604,
     }
 
 
@@ -221,7 +229,7 @@ def test_report_row_optimize(tmp_path):
         "fails": 6,
         "nodes": "",
         "optimum": 2,
-        "peak_nodes": 3039,
+        "peak_nodes": 3038,
     }
 
 
@@ -257,3 +265,22 @@ def test_report_row_optimize_node_limit_during_a_later_build(tmp_path):
         "optimum": 2,
         "peak_nodes": 1000,
     }
+
+
+def test_report_row_optimize_out_of_time_before_any_build(tmp_path):
+    # no model was built, so no node was ever made
+    path = write(tmp_path, HAMMING)
+    args = [path, "--target", "optimize", "--time-limit", "0"]
+    assert report_fields(args) == {
+        **ROW_BASE,
+        "problem": "hamming",
+        "target": "optimize",
+        "status": "—",
+        "solutions": 0,
+        "fails": 0,
+        "nodes": "",
+        "optimum": "",
+        "peak_nodes": 0,
+    }
+    (row,) = report_rows(run_cli(args)[1])
+    assert row["peak_nodes"] == "0"

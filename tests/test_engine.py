@@ -9,7 +9,7 @@ import pytest
 from bddsets.analysis import stick_of
 from bddsets.engine import FALSE, TRUE, NodeStore, NodeLimitExceeded, OrderingViolation
 
-from conftest import exists_table, hot_tables, models_of, random_bdd, truth_table
+from conftest import apply_op, exists_table, hot_tables, models_of, random_bdd, truth_table
 
 OPS = {
     "and": operator.and_,
@@ -65,7 +65,7 @@ def test_apply_binary_truth_tables_random(store, rng):
         a = random_bdd(store, nvars, rng)
         b = random_bdd(store, nvars, rng)
         op = rng.choice(list(OPS))
-        r = store.apply_binary(op, a, b)
+        r = apply_op(store, op, a, b)
         ta = truth_table(store, a, nvars)
         tb = truth_table(store, b, nvars)
         tr = truth_table(store, r, nvars)
@@ -238,13 +238,6 @@ def test_memo_cache_hit(store):
     assert store.cache_entries() == entries
 
 
-def test_to_dot_smoke(store):
-    v, w = store.new_vars(2)
-    a = store.apply_and(store.literal(v), store.literal(w))
-    dot = store.to_dot(a)
-    assert "style=solid" in dot and "style=dashed" in dot
-
-
 def test_collect_garbage_preserves_roots(store, rng):
     nvars = 6
     store.new_vars(nvars)
@@ -301,7 +294,7 @@ def _check_ops(store, rng, nvars, qs, trials=30):
         b = random_bdd(store, nvars, rng)
         ta, tb = truth_table(store, a, nvars), truth_table(store, b, nvars)
         for op in ("and", "or", "xor"):
-            r = store.apply_binary(op, a, b)
+            r = apply_op(store, op, a, b)
             assert truth_table(store, r, nvars) == tuple(map(OPS[op], ta, tb))
         conj = tuple(map(OPS["and"], ta, tb))
         assert truth_table(store, store.negate(a), nvars) == tuple(not x for x in ta)

@@ -3,7 +3,6 @@ import pytest
 from bddsets.instances import (
     InstanceError,
     build_from_instance,
-    load_instance,
     parse_instance,
 )
 from bddsets.models import BacpSpec, GolfersSpec, HammingSpec, SteinerSpec
@@ -84,13 +83,6 @@ def test_build_from_instance():
     assert len(m.vars) == 7
     m = build_from_instance(parse_instance(BACP))
     assert any(v.name == "X1" for v in m.vars)
-
-
-def test_load_instance(tmp_path):
-    path = tmp_path / "fano.txt"
-    path.write_text(STEINER)
-    m = load_instance(path)
-    assert m.meta["spec"] == SteinerSpec(2, 3, 7)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from bddsets.engine import FALSE, TRUE, NodeStore
 from bddsets.propagate import MODES, State
+from bddsets.search import snapshot
 from bddsets.sets import (
     ConstraintBdd,
     Universe,
@@ -237,6 +238,17 @@ def test_assign_conflicting_bit(store):
     assert st.assign(x, 2, True)  # agreeing assignment is a no-op
 
 
+@pytest.mark.parametrize("element", [0, 4])
+def test_assign_rejects_elements_outside_the_universe(store, element):
+    (x,) = alloc_set_vars(store, Universe(3), ["x"])
+    st = State(store, [x], [], mode="split")
+    assert st.assign(x, 2, True)
+    trail = list(st.trail)
+    with pytest.raises(ValueError):
+        st.assign(x, element, True)
+    assert st.trail == trail
+
+
 def test_card_mode_interval_extraction(store):
     # projection of lexlt(x, y) onto x allows cardinalities 0..2 over N=3
     u = Universe(3)
@@ -339,18 +351,10 @@ def test_partition_scenario(store):
         f = st.fixed_bit_values(v)
         assert f.get(v.bit(1)) is False and f.get(v.bit(2)) is False
     assert st.assign(y, 3, True) and st.propagate()
-    assert st.is_determined(z)
-    assert st.set_value(z) == frozenset()
-    assert st.set_value(x) == frozenset({1, 2})
-    assert st.all_determined()
-
-
-def test_set_value_requires_determined(store):
-    u = Universe(2)
-    (x,) = alloc_set_vars(store, u, ["x"])
-    st = State(store, [x], [], mode="domain")
-    with pytest.raises(ValueError):
-        st.set_value(x)
+    assert all(st.is_determined(v) for v in (x, y, z))
+    values = snapshot(st)
+    assert values["z"] == frozenset()
+    assert values["x"] == frozenset({1, 2})
 
 
 def test_false_constraint_rejected(store):

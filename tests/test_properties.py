@@ -26,7 +26,9 @@ that every constraint retired during random walks of decisions and undos
 is implied by its scope's domains, so running it again would change
 nothing; and that after the same decisions the five modes are ordered by
 strength: domain and split reach equal domains, which lie within the card
-and lex domains, which lie within the bounds domains.
+and lex domains, which lie within the bounds domains.  In every mode,
+State.is_determined's cube walk must agree with counting the fixed
+literals of the conjoined domain.
 """
 
 import gc
@@ -36,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bddsets.analysis import stick_of
+from bddsets.analysis import fixed_literals, stick_of
 from bddsets.engine import FALSE, TRUE, NodeStore
 from bddsets.propagate import MODES, State
 from bddsets.sets import (
@@ -85,10 +87,22 @@ TABLE_OPS = {
 }
 
 
+def nodes_of(store, a):
+    """(handle, var, hi, lo) of each internal node reachable from a."""
+    seen = set()
+    stack = [a]
+    while stack:
+        x = stack.pop()
+        if x > 1 and x not in seen:
+            seen.add(x)
+            yield x, store._var[x], store._hi[x], store._lo[x]
+            stack += (store._hi[x], store._lo[x])
+
+
 def check(store, pool, h, want):
     assert truth_table(store, h, NVARS) == want
     # every node of the result is live, not a swept slot
-    assert all(store.mk_node(v, t, f) == n for n, v, t, f in store.iter_nodes(h))
+    assert all(store.mk_node(v, t, f) == n for n, v, t, f in nodes_of(store, h))
     assert all(g == h for g, t in pool if t == want), "one function, two handles"
 
 
@@ -186,7 +200,7 @@ def state_of(st):
 
 def assert_live(store, handles):
     for h in handles:
-        for n, v, t, f in store.iter_nodes(h):
+        for n, v, t, f in nodes_of(store, h):
             assert store.mk_node(v, t, f) == n, "handle lost to a collection"
 
 
@@ -282,14 +296,12 @@ def check_retired(s, original):
             assert store.exists(others, both) == dom
 
 
-@pytest.mark.parametrize("mode", ["domain", "split"])
-@PROPERTY_SETTINGS
-@given(steps=st.lists(st.one_of(decision, st.just("undo")), min_size=4, max_size=16))
-def test_retired_constraints_are_implied_by_the_domains(mode, steps):
-    s = trail_problem(mode)
-    original = list(s.cons)
+def walk(s, steps, invariant):
+    """Propagate s to its root fixpoint, then take steps: decisions, each
+    undone at once if it fails, and undos of the last open decision.
+    invariant() runs at the root and after every step."""
     assert s.propagate_from_scratch()
-    check_retired(s, original)
+    invariant()
     marks = []
     for step in steps:
         if step == "undo":
@@ -300,7 +312,19 @@ def test_retired_constraints_are_implied_by_the_domains(mode, steps):
             marks.append(s.mark())
             if not (s.assign_bit(vi, s.bits[vi][i], value) and s.propagate()):
                 s.undo(marks.pop())
-        check_retired(s, original)
+        invariant()
+
+
+walk_steps = st.lists(st.one_of(decision, st.just("undo")), min_size=4, max_size=16)
+
+
+@pytest.mark.parametrize("mode", ["domain", "split"])
+@PROPERTY_SETTINGS
+@given(steps=walk_steps)
+def test_retired_constraints_are_implied_by_the_domains(mode, steps):
+    s = trail_problem(mode)
+    original = list(s.cons)
+    walk(s, steps, partial(check_retired, s, original))
 
 
 def subset(store, a, b):
@@ -351,3 +375,18 @@ def test_modes_are_ordered_by_strength(decisions):
             for strong, weak in STRONGER:
                 if strong in dom and weak in dom:
                     assert subset(store, dom[strong], dom[weak]), (strong, weak)
+
+
+def check_determined(s):
+    """is_determined's cube walk agrees with counting fixed literals."""
+    for vi, bits in enumerate(s.bits):
+        fixed = fixed_literals(s.store, s.domain_bdd(vi))
+        assert s.is_determined(vi) == (len(fixed) == len(bits))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(steps=walk_steps)
+def test_is_determined_matches_fixed_literals(mode, steps):
+    s = trail_problem(mode)
+    walk(s, steps, partial(check_determined, s))

@@ -4,7 +4,6 @@ import pytest
 
 from bddsets.engine import FALSE, TRUE, NodeStore
 from bddsets.sets import (
-    ConstraintBdd,
     Universe,
     alloc_set_vars,
     card,
@@ -12,7 +11,6 @@ from bddsets.sets import (
     card_ge,
     card_le,
     complement_eq,
-    conjoin_project,
     diff_eq,
     eq,
     eq_const,
@@ -255,28 +253,6 @@ def test_inter_card_atmost_size_linear():
     assert sizes[32] - sizes[16] == 2 * (sizes[16] - sizes[8])
 
 
-def test_conjoin_project_definitional():
-    store = NodeStore()
-    u = Universe(4)
-    v, w, inter = alloc_set_vars(store, u, ["v", "w", "u"])
-    k = 2
-    merged = conjoin_project(
-        store,
-        [inter_eq(store, inter, v, w), card_le(store, inter, k)],
-        [v, w],
-    )
-    assert merged.bdd == inter_card_atmost(store, v, w, k)
-    assert merged.scope == (v, w)
-
-
-def test_conjoin_project_identity(store):
-    u = Universe(3)
-    v, w = alloc_set_vars(store, u, ["v", "w"])
-    c = subseteq(store, v, w)
-    out = conjoin_project(store, [ConstraintBdd(c, (v, w))], [v, w])
-    assert out.bdd == c
-
-
 def test_example_3_5_projection(store):
     # D(v) = {{1},{1,3},{2,3}}, D(w) = {{2},{1,2},{1,3}}; conjoin with
     # v subseteq w and project
@@ -289,7 +265,7 @@ def test_example_3_5_projection(store):
     dv = domain_bdd(v, [{1}, {1, 3}, {2, 3}])
     dw = domain_bdd(w, [{2}, {1, 2}, {1, 3}])
     conj = store.conjoin([subseteq(store, v, w), dv, dw])
-    new_dv = store.exists(w.bit_set(), conj)
-    new_dw = store.exists(v.bit_set(), conj)
+    new_dv = store.exists(w.bits, conj)
+    new_dw = store.exists(v.bits, conj)
     assert new_dv == domain_bdd(v, [{1}, {1, 3}])
     assert new_dw == domain_bdd(w, [{1, 2}, {1, 3}])
