@@ -67,13 +67,7 @@ def fixed_literals(store: NodeStore, a: int) -> dict[int, bool]:
 
 def stick_of(store: NodeStore, literals: dict[int, bool]) -> int:
     """Build the stick BDD for a set of fixed literals."""
-    acc = TRUE
-    for v in sorted(literals, reverse=True):
-        if literals[v]:
-            acc = store.mk_node(v, acc, FALSE)
-        else:
-            acc = store.mk_node(v, FALSE, acc)
-    return acc
+    return store.cube(literals)
 
 
 # When true, every split re-checks its defining properties: the parts

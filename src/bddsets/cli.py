@@ -167,23 +167,34 @@ def run(args, out=sys.stdout) -> int:
             return 2
         spec = parsed["spec"]
         strategy_holder = {}
-        stores = []
-        # a store whose build hit the ceiling holds node_limit nodes
-        peaks = []
+        # the largest node table of the models built so far (0 when the
+        # time runs out before any is), and the latest model's store; only
+        # that one is kept, so the earlier ones are freed as search moves on
+        peak_nodes = 0
+        latest = []
+
+        def fold_in_latest():
+            nonlocal peak_nodes
+            if latest:
+                peak_nodes = max(peak_nodes, latest.pop().node_count())
 
         def build(n):
+            nonlocal peak_nodes
+            fold_in_latest()
             try:
                 model = build_hamming(replace(spec, n=n), node_limit=node_limit)
             except NodeLimitExceeded:
-                peaks.append(node_limit)
+                # a store whose build hit the ceiling holds node_limit nodes
+                peak_nodes = max(peak_nodes, node_limit)
                 raise
-            stores.append(model.store)
+            latest.append(model.store)
             strategy_holder.setdefault("s", _resolve_strategy(model.strategy, args))
             st = State(model.store, model.vars, model.constraints, mode=args.mode)
             return st, strategy_holder["s"], model.branch_vars
 
         t0 = time.perf_counter()
         best, status, fails = optimize_incremental(build, time_limit=time_limit)
+        fold_in_latest()
         return report(
             strategy_holder.get("s") or _resolve_strategy(Strategy(), args),
             status,
@@ -191,8 +202,7 @@ def run(args, out=sys.stdout) -> int:
             fails,
             "",
             best[0] if best is not None else "",
-            # 0 when the time ran out before any model was built
-            max(peaks + [s.node_count() for s in stores], default=0),
+            peak_nodes,
             time.perf_counter() - t0,
         )
 

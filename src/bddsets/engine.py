@@ -6,22 +6,23 @@ on their operand handles, and structural equality of the represented
 Boolean functions is handle equality.
 
 The recursions are built once, not on every call: one and/or/xor apply
-body, ``negate``, ``cofactor`` and ``var_set`` once per store, and the
-``exists`` / ``and_exists`` pair once per quantified variable set.  They
-are closures over the store's node arrays and tables, never over the
-store itself.  They look an existing node up in the unique table directly
-and call the node allocator only on a miss.  The quantifier cores fuse the
-disjunction of a quantified level: they call the OR core directly and skip
-the else-branch once the then-branch is ``TRUE`` (Brace, Rudell & Bryant,
-"Efficient Implementation of a BDD Package", DAC 1990).
+body, ``negate``, ``cofactor`` and ``var_set`` once per store, and one
+``and_exists`` core per quantified variable set; ``exists`` is that core
+with a ``TRUE`` operand.  They are closures over the store's node arrays
+and tables, never over the store itself.  They look an existing node up
+in the unique table directly and call the node allocator only on a miss.
+The quantifier cores fuse the disjunction of a quantified level: they
+call the OR core directly and skip the else-branch once the then-branch
+is ``TRUE`` (Brace, Rudell & Bryant, "Efficient Implementation of a BDD
+Package", DAC 1990).
 
 Table layout.  Every hot table is a dict from one packed int to a handle:
 
 * the unique table maps ``(v << 32 | t) << 32 | f`` to the node (v, t, f);
 * and, or and xor each have a memo keyed ``a << 32 | b`` (a <= b), and
   negate one keyed ``a``;
-* each quantifier core has its own ``exists`` memo keyed ``a`` and
-  ``and_exists`` memo keyed ``a << 32 | b``, so the variable set is not
+* each quantifier core has its own memo keyed ``a << 32 | b`` (a <= b,
+  and ``exists`` keyed with a = ``TRUE``), so the variable set is not
   part of the key;
 * ``cofactor`` has a memo keyed ``a << 32 | cube``.
 
@@ -72,7 +73,7 @@ def _build_kernel(var, hi, lo, unique, free, side, node_limit, debug_checks):
     """Build one store's recursions as closures over its containers.
 
     Returns the node allocator, the and/or/xor apply cores, the negation,
-    cofactor and support cores, a factory for the quantifier cores of one
+    cofactor and support cores, a factory for the and_exists core of one
     variable set, and the memo tables of the fixed cores.
     """
     # With the checks on, every node goes through node() so that each one
@@ -195,38 +196,22 @@ def _build_kernel(var, hi, lo, unique, free, side, node_limit, debug_checks):
         return r
 
     def quantifiers(fs: frozenset[int]):
-        """The exists and and_exists cores for the variable set fs, and
-        their two memo tables."""
+        """The and_exists core for the variable set fs, and its memo.
+
+        exists(fs, a) is and_exists(TRUE, a): a TRUE operand sorts first
+        and is never descended into, so the core walks a alone.
+        """
         # terminals are labelled above every variable, so they stop the
         # descent too; with fs empty every handle does
         top = max(fs, default=-1)
-        ex_memo = {}
-        ae_memo = {}
-
-        def exists(a: int) -> int:
-            v = var[a]
-            if v > top:
-                return a
-            r = ex_memo.get(a)
-            if r is not None:
-                return r
-            t = exists(hi[a])
-            if v in fs:
-                r = TRUE if t == TRUE else or_(t, exists(lo[a]))
-            else:
-                f = exists(lo[a])
-                r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
-            ex_memo[a] = r
-            return r
+        memo = {}
 
         def and_exists(a: int, b: int) -> int:
             if a == FALSE or b == FALSE:
                 return FALSE
-            if a == TRUE:
-                return exists(b)
-            if b == TRUE or a == b:
-                return exists(a)
-            if a > b:
+            if a == b:
+                a = TRUE
+            elif a > b:
                 a, b = b, a
             va, vb = var[a], var[b]
             v = va if va < vb else vb
@@ -234,7 +219,7 @@ def _build_kernel(var, hi, lo, unique, free, side, node_limit, debug_checks):
                 # no quantified variable can appear below here
                 return and_(a, b)
             key = a << 32 | b
-            r = ae_memo.get(key)
+            r = memo.get(key)
             if r is not None:
                 return r
             if va == vb:
@@ -249,10 +234,10 @@ def _build_kernel(var, hi, lo, unique, free, side, node_limit, debug_checks):
             else:
                 f = and_exists(fa, fb)
                 r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
-            ae_memo[key] = r
+            memo[key] = r
             return r
 
-        return exists, and_exists, (ex_memo, ae_memo)
+        return and_exists, memo
 
     return mk, and_, or_, xor, negate, cofactor, support, quantifiers, memos
 
@@ -291,7 +276,7 @@ class NodeStore:
             self._var, self._hi, self._lo, self._unique, self._free,
             self._cache, node_limit, debug_checks,
         )
-        # quantified variable set -> its (exists, and_exists, memos) cores
+        # quantified variable set -> its (and_exists core, memo) pair
         self._quantifier_cores: dict[frozenset[int], tuple] = {}
 
     def __del__(self):
@@ -361,17 +346,14 @@ class NodeStore:
         self._cache.clear()
         for memo in self._memos:
             memo.clear()
-        for _, _, memos in self._quantifier_cores.values():
-            for memo in memos:
-                memo.clear()
+        for _, memo in self._quantifier_cores.values():
+            memo.clear()
         self._quantifier_cores.clear()
 
     def cache_entries(self) -> int:
         """Total number of entries in every memo table and the side table."""
         n = len(self._cache) + sum(map(len, self._memos))
-        for _, _, memos in self._quantifier_cores.values():
-            n += sum(map(len, memos))
-        return n
+        return n + sum(len(memo) for _, memo in self._quantifier_cores.values())
 
     def mk_node(self, v: int, t: int, f: int) -> int:
         """Return the unique reduced node for (v, t, f)."""
@@ -382,13 +364,12 @@ class NodeStore:
             return self._mk(v, TRUE, FALSE)
         return self._mk(v, FALSE, TRUE)
 
-    def _quantifiers(self, vs: Iterable[int]) -> tuple:
-        fs = vs if isinstance(vs, frozenset) else frozenset(vs)
-        cores = self._quantifier_cores.get(fs)
-        if cores is None:
-            cores = self._new_quantifiers(fs)
-            self._quantifier_cores[fs] = cores
-        return cores
+    def cube(self, literals: dict[int, bool]) -> int:
+        """The conjunction of the literals, given as variable -> value."""
+        r = TRUE
+        for v in sorted(literals, reverse=True):
+            r = self._mk(v, r, FALSE) if literals[v] else self._mk(v, FALSE, r)
+        return r
 
     # ------------------------------------------------------------------
     # Boolean combinators
@@ -417,13 +398,20 @@ class NodeStore:
     # ------------------------------------------------------------------
     # quantification
 
+    def _and_exists(self, vs: Iterable[int]):
+        fs = vs if isinstance(vs, frozenset) else frozenset(vs)
+        core = self._quantifier_cores.get(fs)
+        if core is None:
+            core = self._quantifier_cores[fs] = self._new_quantifiers(fs)
+        return core[0]
+
     def exists(self, vs: Iterable[int], a: int) -> int:
         """Existentially quantify every variable of vs out of a."""
-        return self._quantifiers(vs)[0](a)
+        return self._and_exists(vs)(TRUE, a)
 
     def and_exists(self, vs: Iterable[int], a: int, b: int) -> int:
         """Compute exists(vs, a AND b) without building the full conjunction."""
-        return self._quantifiers(vs)[1](a, b)
+        return self._and_exists(vs)(a, b)
 
     def cofactor(self, a: int, cube: int) -> int:
         """The restriction of a to the literals of cube.
@@ -432,16 +420,28 @@ class NodeStore:
         equals and_exists(var_set(cube), a, cube) but needs no quantifier
         core for the cube's variables.
         """
-        if self.debug_checks:
-            c = cube
-            while c > 1:
-                if self._hi[c] != FALSE and self._lo[c] != FALSE:
-                    raise ValueError(f"handle {cube} is not a cube")
-                c = self._hi[c] or self._lo[c]
+        if self.debug_checks and self.cube_literals(cube) is None:
+            raise ValueError(f"handle {cube} is not a cube")
         return self._cofactor(a, cube)
 
     # ------------------------------------------------------------------
     # queries
+
+    def cube_literals(self, a: int) -> dict[int, bool] | None:
+        """The literals of the cube a as variable -> value, or None if a is
+        not a conjunction of literals.  Both terminals give no literals."""
+        var, hi, lo = self._var, self._hi, self._lo
+        lits = {}
+        while a > 1:
+            if hi[a] == FALSE:
+                lits[var[a]] = False
+                a = lo[a]
+            elif lo[a] == FALSE:
+                lits[var[a]] = True
+                a = hi[a]
+            else:
+                return None
+        return lits
 
     def var_set(self, a: int) -> frozenset[int]:
         """Set of variables labelling internal nodes of a."""

@@ -134,10 +134,7 @@ def monus(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:
 
 def int_eq(store: NodeStore, x: IntExpr, y: IntExpr) -> int:
     x, y = _common(x, y)
-    acc = TRUE
-    for xi, yi in zip(reversed(x), reversed(y)):
-        acc = store.apply_and(store.apply_iff(xi, yi), acc)
-    return acc
+    return store.conjoin(store.apply_iff(xi, yi) for xi, yi in zip(reversed(x), reversed(y)))
 
 
 def int_lt(store: NodeStore, x: IntExpr, y: IntExpr) -> int:
@@ -164,11 +161,8 @@ def decode(store: NodeStore, x: IntExpr, env: dict[int, bool]) -> int:
 def alloc_int_vars(store: NodeStore, names, width: int) -> list["IntVarExpr"]:
     """Allocate integer variables interleaved MSB-first across the group."""
     names = list(names)
-    cols = [[] for _ in names]
-    for _bit in range(width):
-        for j in range(len(names)):
-            cols[j].append(store.new_var())
-    return [IntVarExpr(store, n, tuple(c)) for n, c in zip(names, cols)]
+    cols = zip(*(store.new_vars(len(names)) for _ in range(width)))
+    return [IntVarExpr(store, n, c) for n, c in zip(names, cols)]
 
 
 class IntVarExpr:
@@ -283,17 +277,11 @@ def alloc_multiset_vars(
 
 
 def ms_eq(store, m: MultisetVar, n: MultisetVar) -> int:
-    acc = TRUE
-    for bm, bn in zip(m.bundles, n.bundles):
-        acc = store.apply_and(acc, int_eq(store, bm.expr, bn.expr))
-    return acc
+    return store.conjoin(int_eq(store, bm.expr, bn.expr) for bm, bn in zip(m.bundles, n.bundles))
 
 
 def ms_subseteq(store, m: MultisetVar, n: MultisetVar) -> int:
-    acc = TRUE
-    for bm, bn in zip(m.bundles, n.bundles):
-        acc = store.apply_and(acc, int_le(store, bm.expr, bn.expr))
-    return acc
+    return store.conjoin(int_le(store, bm.expr, bn.expr) for bm, bn in zip(m.bundles, n.bundles))
 
 
 def ms_union(store, m: MultisetVar, n: MultisetVar):

@@ -21,6 +21,7 @@ from .intexpr import (
     int_eq,
     int_le,
     plus,
+    set_bundles,
     wsum,
 )
 from .search import Strategy
@@ -36,6 +37,7 @@ from .sets import (
     lexle,
     lexlt,
     member,
+    not_member,
     partition,
     partition_lex,
 )
@@ -86,13 +88,10 @@ def build_steiner(spec: SteinerSpec, merged=True, node_limit=None) -> Model:
     store = NodeStore(node_limit=node_limit)
     u = Universe(spec.n)
     m = spec.blocks
-    names = [f"s{i + 1}" for i in range(m)]
-    cons = []
+    svars = alloc_set_vars(store, u, [f"s{i + 1}" for i in range(m)])
+    cons = [ConstraintBdd(card_eq(store, s, spec.k), (s,), f"|{s.name}|={spec.k}") for s in svars]
     if merged:
-        svars = alloc_set_vars(store, u, names)
         allvars = list(svars)
-        for s in svars:
-            cons.append(ConstraintBdd(card_eq(store, s, spec.k), (s,), f"|{s.name}|={spec.k}"))
         for i in range(m):
             for j in range(i + 1, m):
                 si, sj = svars[i], svars[j]
@@ -102,19 +101,10 @@ def build_steiner(spec: SteinerSpec, merged=True, node_limit=None) -> Model:
                 )
                 cons.append(ConstraintBdd(psi, (si, sj), f"psi_{i + 1}_{j + 1}"))
     else:
-        unames = [f"u{i + 1}_{j + 1}" for i in range(m) for j in range(i + 1, m)]
-        svars = alloc_set_vars(store, u, names)
-        uvars = alloc_set_vars(store, u, unames)
-        allvars = list(svars) + list(uvars)
-        upairs = {}
-        idx = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                upairs[i, j] = uvars[idx]
-                idx += 1
-        for s in svars:
-            cons.append(ConstraintBdd(card_eq(store, s, spec.k), (s,), f"|{s.name}|={spec.k}"))
-        for (i, j), uij in upairs.items():
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        uvars = alloc_set_vars(store, u, [f"u{i + 1}_{j + 1}" for i, j in pairs])
+        allvars = svars + uvars
+        for (i, j), uij in zip(pairs, uvars):
             si, sj = svars[i], svars[j]
             cons.append(
                 ConstraintBdd(inter_eq(store, uij, si, sj), (uij, si, sj), f"{uij.name}=inter")
@@ -416,40 +406,31 @@ def build_bacp(spec: BacpSpec, variant="hybrid_dual", node_limit=None) -> Model:
     def s3():
         lo, hi = const_expr(spec.load_min), const_expr(spec.load_max)
         for i, s in enumerate(svars):
-            ws = wsum(store, [(store.literal(b),) for b in s.bits], weights)
+            ws = wsum(store, set_bundles(store, s), weights)
             bdd = store.apply_and(int_le(store, lo, ws), int_le(store, ws, hi))
             cons.append(ConstraintBdd(bdd, (s,), f"S3_{i + 1}"))
 
     def s4():
+        if not spec.prereqs:
+            return
         for i in range(n):
             for j in range(i + 1):
-                acc = []
-                for c, p in spec.prereqs:
-                    acc.append(
-                        store.apply_imp(
-                            member(store, p, svars[i]),
-                            store.negate(member(store, c, svars[j])),
-                        )
-                    )
-                if acc:
-                    bdd = store.conjoin(acc)
-                    scope = (svars[i],) if i == j else (svars[i], svars[j])
-                    cons.append(ConstraintBdd(bdd, scope, f"S4_{i + 1}_{j + 1}"))
+                bdd = store.conjoin(
+                    store.apply_imp(member(store, p, svars[i]), not_member(store, c, svars[j]))
+                    for c, p in spec.prereqs
+                )
+                scope = (svars[i],) if i == j else (svars[i], svars[j])
+                cons.append(ConstraintBdd(bdd, scope, f"S4_{i + 1}_{j + 1}"))
 
     def cx():
         # one channeling constraint per course, touching bit i of every
         # period set and the whole of X_i
         for i, x in enumerate(xvars):
-            acc = []
-            for j, s in enumerate(svars):
-                acc.append(
-                    store.apply_iff(
-                        member(store, i + 1, s), member(store, j + 1, x)
-                    )
-                )
-            cons.append(
-                ConstraintBdd(store.conjoin(acc), (x,) + tuple(svars), f"CX_{i + 1}")
+            bdd = store.conjoin(
+                store.apply_iff(member(store, i + 1, s), member(store, j + 1, x))
+                for j, s in enumerate(svars)
             )
+            cons.append(ConstraintBdd(bdd, (x,) + tuple(svars), f"CX_{i + 1}"))
 
     def x1():
         for x in xvars:
@@ -469,14 +450,14 @@ def build_bacp(spec: BacpSpec, variant="hybrid_dual", node_limit=None) -> Model:
 
     def ci1():
         for s, l in zip(svars, lvars):
-            ws = wsum(store, [(store.literal(b),) for b in s.bits], weights)
+            ws = wsum(store, set_bundles(store, s), weights)
             cons.append(
                 ConstraintBdd(int_eq(store, ws, l.expr), (s, l), f"CI1_{l.name}")
             )
 
     def ci2():
         for s, q in zip(svars, qvars):
-            ws = wsum(store, [(store.literal(b),) for b in s.bits], [1] * m)
+            ws = wsum(store, set_bundles(store, s), [1] * m)
             cons.append(
                 ConstraintBdd(int_eq(store, ws, q.expr), (s, q), f"CI2_{q.name}")
             )

@@ -194,8 +194,15 @@ class State:
         return self.store.apply_and(self.stick[vi], self.rem[vi])
 
     def fixed_bit_values(self, v) -> dict[int, bool]:
-        """Bit -> forced value over the variable's current domain."""
-        return fixed_literals(self.store, self.domain_bdd(v))
+        """Bit -> forced value over the variable's current domain.
+
+        The stick and the remainder range over disjoint bits, so their
+        fixed literals together are the domain's.
+        """
+        vi = v if isinstance(v, int) else self._index[id(v)]
+        fixed = fixed_literals(self.store, self.rem[vi])
+        fixed.update(self.store.cube_literals(self.stick[vi]))
+        return fixed
 
     def is_determined(self, v) -> bool:
         return self._fixed(v if isinstance(v, int) else self._index[id(v)])
@@ -240,7 +247,8 @@ class State:
         if self.mode == "bounds":
             rem = TRUE
         elif self._bound is not None:
-            rem = self._bound(store, rem, sorted(self.bitsets[vi] - store.var_set(stick)))
+            free = self.bitsets[vi].difference(store.cube_literals(stick))
+            rem = self._bound(store, rem, sorted(free))
         self._put(vi, stick, rem)
         return True
 
@@ -250,10 +258,9 @@ class State:
 
     def assign_bit(self, vi, bit, value) -> bool:
         store = self.store
-        if self.mode != "domain":
-            fixed = fixed_literals(store, self.stick[vi])
-            if bit in fixed:
-                return fixed[bit] == value
+        fixed = store.cube_literals(self.stick[vi])
+        if bit in fixed:
+            return fixed[bit] == value
         delta = store.apply_and(self.rem[vi], store.literal(bit, value))
         return delta != FALSE and self._absorb(vi, delta)
 
@@ -295,21 +302,13 @@ class State:
         """Whether variable vi's domain is a single value.
 
         In every mode the stick and the remainder mention disjoint bits,
-        so the domain is one value exactly when both are cubes whose
-        literals together cover every bit.
+        so the domain is one value exactly when the remainder, like the
+        stick, is a cube and their literals together cover every bit.
         """
-        hi, lo = self.store._hi, self.store._lo
+        cube_literals = self.store.cube_literals
+        rem = cube_literals(self.rem[vi])
         n = len(self.bits[vi])
-        for a in (self.stick[vi], self.rem[vi]):
-            while a > 1:
-                if hi[a] == FALSE:
-                    a = lo[a]
-                elif lo[a] == FALSE:
-                    a = hi[a]
-                else:
-                    return False
-                n -= 1
-        return n == 0
+        return rem is not None and len(rem) + len(cube_literals(self.stick[vi])) == n
 
     def _run(self, ci) -> bool:
         store = self.store

@@ -88,7 +88,8 @@ def solve(
         order = list(range(len(state.vars)))
     else:
         order = [state.var_index(v) for v in branch_vars]
-        order += [i for i in range(len(state.vars)) if i not in set(order)]
+        chosen = set(order)
+        order += [i for i in range(len(state.vars)) if i not in chosen]
 
     deadline = None if time_limit is None else t0 + time_limit
 

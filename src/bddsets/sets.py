@@ -60,11 +60,8 @@ class ConstraintBdd:
 def alloc_set_vars(store: NodeStore, universe: Universe, names) -> list[SetVar]:
     """Allocate set variables with the interleaved element-major order."""
     names = list(names)
-    cols = [[] for _ in names]
-    for _elem in universe.elements:
-        for j in range(len(names)):
-            cols[j].append(store.new_var())
-    return [SetVar(n, tuple(c), universe) for n, c in zip(names, cols)]
+    cols = zip(*(store.new_vars(len(names)) for _ in universe.elements))
+    return [SetVar(n, c, universe) for n, c in zip(names, cols)]
 
 
 # ----------------------------------------------------------------------
@@ -83,21 +80,11 @@ def eq_const(store, v: SetVar, d) -> int:
     d = set(d)
     if not d <= set(v.universe.elements):
         raise ValueError(f"{sorted(d)} is not a subset of the universe")
-    # build the stick bottom-up so each mk_node call is ordered
-    acc = TRUE
-    for i in reversed(range(v.universe.n)):
-        if (i + 1) in d:
-            acc = store.mk_node(v.bits[i], acc, FALSE)
-        else:
-            acc = store.mk_node(v.bits[i], FALSE, acc)
-    return acc
+    return store.cube({b: i in d for i, b in enumerate(v.bits, 1)})
 
 
 def _elementwise(store, universe, fn) -> int:
-    acc = TRUE
-    for i in reversed(range(universe.n)):
-        acc = store.apply_and(fn(i), acc)
-    return acc
+    return store.conjoin(fn(i) for i in reversed(range(universe.n)))
 
 
 def eq(store, u: SetVar, v: SetVar) -> int:
@@ -264,18 +251,9 @@ def partition(store, vs) -> int:
     vs = list(vs)
     if not vs:
         raise ValueError("partition needs at least one variable")
-    universe = vs[0].universe
-    acc = TRUE
-    for i in reversed(range(universe.n)):
-        lits = [store.literal(v.bits[i]) for v in vs]
-        exactly_one = FALSE
-        for j in range(len(lits)):
-            term = TRUE
-            for k in reversed(range(len(lits))):
-                term = store.apply_and(lits[k] if k == j else store.negate(lits[k]), term)
-            exactly_one = store.apply_or(exactly_one, term)
-        acc = store.apply_and(exactly_one, acc)
-    return acc
+    return _elementwise(
+        store, vs[0].universe, lambda i: card(store, sorted(v.bits[i] for v in vs), 1, 1)
+    )
 
 
 def partition_lex(store, vs) -> int:

@@ -73,7 +73,4 @@ def exists_table(table, qs, nvars):
 
 def hot_tables(store):
     """The unique table and every handle-valued memo table of store."""
-    tables = [store._unique, *store._memos]
-    for _, _, memos in store._quantifier_cores.values():
-        tables.extend(memos)
-    return tables
+    return [store._unique, *store._memos, *(m for _, m in store._quantifier_cores.values())]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import weakref
 
 import pytest
 
@@ -213,7 +214,7 @@ def test_report_row_solve(tmp_path):
         "fails": 47,
         "nodes": 94,
         "optimum": "",
-        "peak_nodes": 15604,
+        "peak_nodes": 15491,
     }
 
 
@@ -229,8 +230,28 @@ def test_report_row_optimize(tmp_path):
         "fails": 6,
         "nodes": "",
         "optimum": 2,
-        "peak_nodes": 3038,
+        "peak_nodes": 3030,
     }
+
+
+def test_optimize_frees_each_model_two_builds_later(tmp_path, monkeypatch):
+    # while build n runs, the search still holds model n - 1; the report
+    # keeps no store, so model n - 2's store is already freed
+    real_build = cli.build_hamming
+    stores = []
+    freed = []
+
+    def build_hamming(spec, node_limit=None):
+        if len(stores) >= 2:
+            freed.append(stores[-2]() is None)
+        model = real_build(spec, node_limit=node_limit)
+        stores.append(weakref.ref(model.store))
+        return model
+
+    monkeypatch.setattr(cli, "build_hamming", build_hamming)
+    path = write(tmp_path, "problem = hamming\nl = 5\nd = 3\nw = 2\n")
+    assert run_cli([path, "--target", "optimize", "--mode", "lex"])[0] == 0
+    assert len(stores) == 3 and freed == [True]
 
 
 def test_report_row_optimize_node_limit(tmp_path):

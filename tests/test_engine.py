@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from bddsets.analysis import stick_of
+from bddsets.analysis import fixed_literals, stick_of
 from bddsets.engine import FALSE, TRUE, NodeStore, NodeLimitExceeded, OrderingViolation
 
 from conftest import apply_op, exists_table, hot_tables, models_of, random_bdd, truth_table
@@ -461,6 +461,31 @@ def test_cofactor_by_a_cube(store):
     # the store fixture has debug checks on, which reject a non-cube
     with pytest.raises(ValueError):
         store.cofactor(f, store.apply_or(store.literal(v0), store.literal(v1)))
+
+
+def test_cube_and_cube_literals_round_trip(store, rng):
+    vs = store.new_vars(6)
+    for _ in range(40):
+        lits = {v: rng.random() < 0.5 for v in vs if rng.random() < 0.6}
+        cube = store.cube(lits)
+        assert cube == store.conjoin(store.literal(v, value) for v, value in lits.items())
+        assert store.cube_literals(cube) == lits
+    # both terminals read as no literals, so the cube check in cofactor
+    # passes FALSE (test_cofactor_by_a_cube restricts to it)
+    assert store.cube_literals(TRUE) == store.cube_literals(FALSE) == {}
+
+
+def test_cube_literals_is_none_on_a_non_cube(store, rng):
+    v0, v1 = store.new_vars(4)[:2]
+    assert store.cube_literals(store.apply_or(store.literal(v0), store.literal(v1))) is None
+    assert store.cube_literals(store.apply_xor(store.literal(v0), store.literal(v1))) is None
+    for _ in range(60):
+        a = random_bdd(store, 4, rng)
+        if a == FALSE:
+            continue
+        # a is a cube exactly when it is the stick of its fixed literals
+        lits = fixed_literals(store, a)
+        assert store.cube_literals(a) == (lits if store.cube(lits) == a else None)
 
 
 def test_debug_checks_give_the_same_handles():

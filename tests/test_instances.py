@@ -85,6 +85,12 @@ def test_build_from_instance():
     assert any(v.name == "X1" for v in m.vars)
 
 
+BACP_HEADER = (
+    "problem = bacp\nperiods = 2\nload_min = 0\nload_max = 2\n"
+    "courses_min = 0\ncourses_max = 2\n"
+)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -95,17 +101,19 @@ def test_build_from_instance():
         ("problem = steiner\nt =\nk = 3\nn = 7\n", "empty value"),
         ("problem = steiner\nt 2\nk = 3\nn = 7\n", "key = value"),
         ("problem = sudoku\n", "unknown problem"),
-        (STEINER + "extra = 1\n", "unknown keys"),
-        (STEINER + "merged = maybe\n", "boolean"),
-        (STEINER + "course 1 3\n", "only valid for bacp"),
         ("problem = steiner\nt = 2\nk = 3\nn = 8\n", "inadmissible"),
-        ("problem = bacp\nperiods = 2\nload_min = 0\nload_max = 2\n"
-         "courses_min = 0\ncourses_max = 2\n", "course line"),
-        ("problem = bacp\nperiods = 2\nload_min = 0\nload_max = 2\n"
-         "courses_min = 0\ncourses_max = 2\ncourse 1 1\ncourse 3 1\n",
-         "exactly 1..m"),
-        ("problem = bacp\nperiods = 2\nload_min = 0\nload_max = 2\n"
-         "courses_min = 0\ncourses_max = 2\ncourse 1\n", "need an id and a load"),
+        # cases that extend a long shared header are named: their generated
+        # ids differ only after it, so a truncated listing conflates them
+        pytest.param(STEINER + "extra = 1\n", "unknown keys", id="steiner-extra-key"),
+        pytest.param(STEINER + "merged = maybe\n", "boolean", id="steiner-merged-maybe"),
+        pytest.param(STEINER + "course 1 3\n", "only valid for bacp", id="steiner-course-line"),
+        pytest.param(BACP_HEADER, "course line", id="bacp-no-course"),
+        pytest.param(
+            BACP_HEADER + "course 1 1\ncourse 3 1\n", "exactly 1..m", id="bacp-course-ids-gap"
+        ),
+        pytest.param(
+            BACP_HEADER + "course 1\n", "need an id and a load", id="bacp-course-no-load"
+        ),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -378,10 +378,13 @@ def test_modes_are_ordered_by_strength(decisions):
 
 
 def check_determined(s):
-    """is_determined's cube walk agrees with counting fixed literals."""
+    """is_determined's cube walk agrees with counting fixed literals, and
+    fixed_bit_values, which reads the stick and the remainder apart, with
+    the fixed literals of their conjunction."""
     for vi, bits in enumerate(s.bits):
         fixed = fixed_literals(s.store, s.domain_bdd(vi))
         assert s.is_determined(vi) == (len(fixed) == len(bits))
+        assert s.fixed_bit_values(vi) == fixed
 
 
 @pytest.mark.parametrize("mode", MODES)
