@@ -10,8 +10,7 @@ from __future__ import annotations
 from .engine import FALSE, TRUE, NodeStore
 from .sets import card
 
-# tags of this module's entries in the store's side table (engine's
-# var_set uses 0)
+# tags of this module's entries in the store's side table
 _SIDE_FIXED_LITS = 1
 _SIDE_COUNT_CARD = 2
 

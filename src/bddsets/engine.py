@@ -6,7 +6,7 @@ on their operand handles, and structural equality of the represented
 Boolean functions is handle equality.
 
 The recursions are built once, not on every call: one and/or/xor apply
-body, ``negate``, ``cofactor`` and ``var_set`` once per store, and one
+body, ``negate`` and ``cofactor`` once per store, and one
 ``and_exists`` core per quantified variable set; ``exists`` is that core
 with a ``TRUE`` operand.  They are closures over the store's node arrays
 and tables, never over the store itself.  They look an existing node up
@@ -29,10 +29,10 @@ Table layout.  Every hot table is a dict from one packed int to a handle:
 A dict holding only ints is never tracked by CPython's cycle collector,
 so these tables, millions of entries on long searches, cost the collector
 nothing; with tuple keys every full collection walked all of them.  The
-memo entries whose values are not handles (``var_set``'s frozensets, and
-the fixed literals and cardinality intervals of :mod:`bddsets.analysis`)
-share one side table, ``NodeStore._cache``, under keys tagged in their
-low two bits.  Handles and variables must stay below 2**32.
+memo entries whose values are not handles (the fixed literals and
+cardinality intervals of :mod:`bddsets.analysis`) share one side table,
+``NodeStore._cache``, under keys tagged in their low two bits.  Handles
+and variables must stay below 2**32.
 
 Long-running searches can reclaim dead nodes with
 :meth:`NodeStore.collect_garbage`, which sweeps everything unreachable
@@ -55,12 +55,6 @@ TRUE = 1
 # special casing.
 _TERMINAL_VAR = 1 << 60
 
-# Tag of var_set's entries in the side table; analysis uses 1 and 2.
-_SIDE_SUPPORT = 0
-
-_NO_VARS: frozenset[int] = frozenset()
-
-
 class NodeLimitExceeded(Exception):
     """Raised when the store grows past its configured node ceiling."""
 
@@ -69,12 +63,12 @@ class OrderingViolation(Exception):
     """A child node's variable does not strictly follow its parent's."""
 
 
-def _build_kernel(var, hi, lo, unique, free, side, node_limit, debug_checks):
+def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
     """Build one store's recursions as closures over its containers.
 
-    Returns the node allocator, the and/or/xor apply cores, the negation,
-    cofactor and support cores, a factory for the and_exists core of one
-    variable set, and the memo tables of the fixed cores.
+    Returns the node allocator, the and/or/xor apply cores, the negation
+    and cofactor cores, a factory for the and_exists core of one variable
+    set, and the memo tables of the fixed cores.
     """
     # With the checks on, every node goes through node() so that each one
     # is checked; otherwise a unique-table hit skips the call.  The cores
@@ -185,16 +179,6 @@ def _build_kernel(var, hi, lo, unique, free, side, node_limit, debug_checks):
         cof_memo[key] = r
         return r
 
-    def support(a: int) -> frozenset[int]:
-        if a <= 1:
-            return _NO_VARS
-        key = a << 2 | _SIDE_SUPPORT
-        r = side.get(key)
-        if r is None:
-            r = support(hi[a]) | support(lo[a]) | {var[a]}
-            side[key] = r
-        return r
-
     def quantifiers(fs: frozenset[int]):
         """The and_exists core for the variable set fs, and its memo.
 
@@ -239,7 +223,7 @@ def _build_kernel(var, hi, lo, unique, free, side, node_limit, debug_checks):
 
         return and_exists, memo
 
-    return mk, and_, or_, xor, negate, cofactor, support, quantifiers, memos
+    return mk, and_, or_, xor, negate, cofactor, quantifiers, memos
 
 
 class NodeStore:
@@ -269,12 +253,11 @@ class NodeStore:
             self._xor,
             self._not,
             self._cofactor,
-            self._support,
             self._new_quantifiers,
             self._memos,
         ) = _build_kernel(
             self._var, self._hi, self._lo, self._unique, self._free,
-            self._cache, node_limit, debug_checks,
+            node_limit, debug_checks,
         )
         # quantified variable set -> its (and_exists core, memo) pair
         self._quantifier_cores: dict[frozenset[int], tuple] = {}
@@ -443,25 +426,26 @@ class NodeStore:
                 return None
         return lits
 
+    def _reachable(self, a: int) -> set[int]:
+        """The internal (non-terminal) nodes reachable from a."""
+        hi, lo = self._hi, self._lo
+        seen = set()
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            if x > 1 and x not in seen:
+                seen.add(x)
+                stack.append(hi[x])
+                stack.append(lo[x])
+        return seen
+
     def var_set(self, a: int) -> frozenset[int]:
         """Set of variables labelling internal nodes of a."""
-        return self._support(a)
+        return frozenset(map(self._var.__getitem__, self._reachable(a)))
 
     def size(self, a: int) -> int:
         """Number of internal (non-terminal) nodes reachable from a."""
-        seen = set()
-        stack = [a]
-        n = 0
-        hi, lo = self._hi, self._lo
-        while stack:
-            x = stack.pop()
-            if x <= 1 or x in seen:
-                continue
-            seen.add(x)
-            n += 1
-            stack.append(hi[x])
-            stack.append(lo[x])
-        return n
+        return len(self._reachable(a))
 
     def sat_count(self, a: int, over: Iterable[int]) -> int:
         """Number of assignments to `over` satisfying a.

@@ -46,10 +46,7 @@ def plus(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:
     out = []
     for xi, yi in zip(reversed(x), reversed(y)):
         s = store.apply_xor(store.apply_xor(xi, yi), carry)
-        carry = store.apply_or(
-            store.apply_and(store.negate(carry), store.apply_and(xi, yi)),
-            store.apply_and(carry, store.apply_or(xi, yi)),
-        )
+        carry = store.ite(carry, store.apply_or(xi, yi), store.apply_and(xi, yi))
         out.append(s)
     out.append(carry)
     return tuple(reversed(out))
@@ -77,43 +74,16 @@ def mul_bit(store: NodeStore, x: IntExpr, b: int) -> IntExpr:
     return tuple(store.apply_and(xi, b) for xi in x)
 
 
-def _extreme(store: NodeStore, x: IntExpr, y: IntExpr, smaller: bool) -> IntExpr:
-    """Bitwise min (smaller) or max via left/right decided-flag recurrences,
-    MSB down."""
-    x, y = _common(x, y)
-    left = FALSE   # x already known smaller
-    right = FALSE  # y already known smaller
-    tie = store.apply_and if smaller else store.apply_or
-    out = []
-    for xi, yi in zip(x, y):
-        undecided = store.apply_and(store.negate(left), store.negate(right))
-        # the output bit follows the chosen side once the order is decided
-        from_left, from_right = (xi, yi) if smaller else (yi, xi)
-        m = store.disjoin(
-            [
-                store.apply_and(left, from_left),
-                store.apply_and(right, from_right),
-                store.apply_and(undecided, tie(xi, yi)),
-            ]
-        )
-        out.append(m)
-        left = store.apply_or(
-            left,
-            store.apply_and(undecided, store.apply_and(store.negate(xi), yi)),
-        )
-        right = store.apply_or(
-            right,
-            store.apply_and(undecided, store.apply_and(xi, store.negate(yi))),
-        )
-    return tuple(out)
-
-
 def min_expr(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:
-    return _extreme(store, x, y, smaller=True)
+    x, y = _common(x, y)
+    lt = int_lt(store, x, y)
+    return tuple(store.ite(lt, xi, yi) for xi, yi in zip(x, y))
 
 
 def max_expr(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:
-    return _extreme(store, x, y, smaller=False)
+    x, y = _common(x, y)
+    lt = int_lt(store, x, y)
+    return tuple(store.ite(lt, yi, xi) for xi, yi in zip(x, y))
 
 
 def monus(store: NodeStore, x: IntExpr, y: IntExpr) -> IntExpr:

@@ -14,7 +14,6 @@ from math import comb
 
 from .engine import NodeStore
 from .intexpr import (
-    IntVarExpr,
     alloc_int_vars,
     bits_needed,
     const_expr,
@@ -31,6 +30,7 @@ from .sets import (
     alloc_set_vars,
     card,
     card_eq,
+    card_formulas,
     card_le,
     inter_card_atmost,
     inter_eq,
@@ -247,6 +247,9 @@ class HammingSpec:
     def __post_init__(self):
         if self.l < 1 or self.d < 1 or not 0 <= self.w <= self.l or self.n < 1:
             raise ValueError("invalid code parameters")
+        if self.d > self.l:
+            # no two words of length l are more than l apart
+            raise ValueError(f"distance {self.d} exceeds the length {self.l}")
 
 
 def hamming_distance(a, b, l) -> int:
@@ -258,9 +261,10 @@ def hamming_distance(a, b, l) -> int:
 def build_hamming(spec: HammingSpec, node_limit=None) -> Model:
     """n codewords of length l and weight w, pairwise distance >= d.
 
-    Codewords are the characteristic vectors of set variables.  The pair
-    constraint counts agreeing positions with integer machinery: distance
-    >= d is equivalent to |S_i & S_j| + |complement of union| <= l - d.
+    Codewords are the characteristic vectors of set variables.  Distance
+    >= d says that at most l - d positions agree, so each pair constraint
+    is card_formulas over the per-position iff formulas: one BDD with no
+    intermediate variables, as inter_card_atmost builds for |v & w| <= k.
     """
     store = NodeStore(node_limit=node_limit)
     u = Universe(spec.l)
@@ -268,30 +272,15 @@ def build_hamming(spec: HammingSpec, node_limit=None) -> Model:
     cons = []
     for v in vs:
         cons.append(ConstraintBdd(card_eq(store, v, spec.w), (v,), f"|{v.name}|={spec.w}"))
-    limit = const_expr(max(0, spec.l - spec.d))
     for i in range(spec.n):
         for j in range(i + 1, spec.n):
             si, sj = vs[i], vs[j]
-            both = [
-                (store.apply_and(store.literal(a), store.literal(b)),)
+            agree = [
+                store.apply_iff(store.literal(a), store.literal(b))
                 for a, b in zip(si.bits, sj.bits)
             ]
-            neither = [
-                (
-                    store.apply_and(
-                        store.literal(a, positive=False),
-                        store.literal(b, positive=False),
-                    ),
-                )
-                for a, b in zip(si.bits, sj.bits)
-            ]
-            agree = plus(
-                store,
-                wsum(store, both, [1] * spec.l),
-                wsum(store, neither, [1] * spec.l),
-            )
             bdd = store.apply_and(
-                int_le(store, agree, limit), lexlt(store, si, sj)
+                card_formulas(store, agree, 0, spec.l - spec.d), lexlt(store, si, sj)
             )
             cons.append(ConstraintBdd(bdd, (si, sj), f"dist({si.name},{sj.name})>={spec.d}"))
     return Model(

@@ -63,25 +63,6 @@ class DeadlineExceeded(Exception):
     """Raised by State.propagate when its deadline has passed."""
 
 
-def _stray_bit(store: NodeStore, a: int, bits) -> int | None:
-    """A variable of a outside bits, or None if there is none.
-
-    A plain traversal: var_set would memoise one frozenset per node.
-    """
-    var, hi, lo = store._var, store._hi, store._lo
-    seen = set()
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x > 1 and x not in seen:
-            if var[x] not in bits:
-                return var[x]
-            seen.add(x)
-            stack.append(hi[x])
-            stack.append(lo[x])
-    return None
-
-
 class State:
     """Domains, constraints, trail and propagation queue for one problem."""
 
@@ -107,10 +88,10 @@ class State:
             if bdd == FALSE:
                 raise ValueError("constraint is unsatisfiable at build time")
             scope_bits = frozenset().union(*(self.bitsets[vi] for vi in scope))
-            stray = _stray_bit(store, bdd, scope_bits)
-            if stray is not None:
+            stray = store.var_set(bdd) - scope_bits
+            if stray:
                 raise ValueError(
-                    f"constraint {c.name or c!r} mentions bit {stray} outside its scope"
+                    f"constraint {c.name or c!r} mentions bit {min(stray)} outside its scope"
                 )
             ci = len(self.cons)
             self.cons.append(bdd)

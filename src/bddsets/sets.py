@@ -136,9 +136,7 @@ def diff_eq(store, u: SetVar, v: SetVar, w: SetVar) -> int:
 def complement_eq(store, u: SetVar, v: SetVar) -> int:
     return _elementwise(
         store, u.universe,
-        lambda i: store.negate(
-            store.apply_iff(store.literal(u.bits[i]), store.literal(v.bits[i]))
-        ),
+        lambda i: store.apply_xor(store.literal(u.bits[i]), store.literal(v.bits[i])),
     )
 
 

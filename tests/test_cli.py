@@ -124,6 +124,13 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     assert "require" in capsys.readouterr().err
 
 
+def test_distance_above_length_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "problem = hamming\nl = 4\nd = 5\nw = 2\n")
+    code, out = run_cli([path, "--target", "optimize"])
+    assert code == 2 and out == ""
+    assert "exceeds the length" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _ = run_cli([str(tmp_path / "nope.txt")])
     assert code == 2
@@ -230,7 +237,7 @@ def test_report_row_optimize(tmp_path):
         "fails": 6,
         "nodes": "",
         "optimum": 2,
-        "peak_nodes": 3030,
+        "peak_nodes": 981,
     }
 
 
@@ -256,9 +263,10 @@ def test_optimize_frees_each_model_two_builds_later(tmp_path, monkeypatch):
 
 def test_report_row_optimize_node_limit(tmp_path):
     # n = 1 is solved and the build for n = 2 hits the ceiling: the row
-    # keeps the code found, and the failed build counts as node_limit nodes
+    # keeps the code found, and the failed build counts as node_limit nodes;
+    # n = 1 ends at 9 nodes and the n = 2 build needs 44
     path = write(tmp_path, HAMMING)
-    assert report_fields([path, "--target", "optimize", "--node-limit", "50"]) == {
+    assert report_fields([path, "--target", "optimize", "--node-limit", "20"]) == {
         **ROW_BASE,
         "problem": "hamming",
         "target": "optimize",
@@ -267,13 +275,14 @@ def test_report_row_optimize_node_limit(tmp_path):
         "fails": 0,
         "nodes": "",
         "optimum": 1,
-        "peak_nodes": 50,
+        "peak_nodes": 20,
     }
 
 
 def test_report_row_optimize_node_limit_during_a_later_build(tmp_path):
+    # n = 2 ends at 290 nodes and the n = 3 build needs 321
     path = write(tmp_path, "problem = hamming\nl = 5\nd = 3\nw = 2\n")
-    args = [path, "--target", "optimize", "--mode", "lex", "--node-limit", "1000"]
+    args = [path, "--target", "optimize", "--mode", "lex", "--node-limit", "300"]
     assert report_fields(args) == {
         **ROW_BASE,
         "problem": "hamming",
@@ -284,7 +293,7 @@ def test_report_row_optimize_node_limit_during_a_later_build(tmp_path):
         "fails": 0,
         "nodes": "",
         "optimum": 2,
-        "peak_nodes": 1000,
+        "peak_nodes": 300,
     }
 
 

@@ -193,6 +193,15 @@ def test_size_and_var_set_paper_examples(store):
     assert store.size(TRUE) == 0
 
 
+def test_size_and_var_set_of_a_long_cube(store):
+    # both walk the nodes with an explicit stack, so a cube deeper than
+    # the interpreter's recursion limit is fine
+    vs = store.new_vars(2000)
+    cube = store.cube({v: v % 3 != 0 for v in vs})
+    assert store.size(cube) == 2000
+    assert store.var_set(cube) == frozenset(vs)
+
+
 def test_canonicity_two_construction_orders(store, rng):
     nvars = 5
     store.new_vars(nvars)

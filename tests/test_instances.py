@@ -107,6 +107,10 @@ BACP_HEADER = (
         pytest.param(STEINER + "extra = 1\n", "unknown keys", id="steiner-extra-key"),
         pytest.param(STEINER + "merged = maybe\n", "boolean", id="steiner-merged-maybe"),
         pytest.param(STEINER + "course 1 3\n", "only valid for bacp", id="steiner-course-line"),
+        pytest.param(
+            "problem = hamming\nl = 4\nd = 5\nw = 2\n", "exceeds the length",
+            id="hamming-distance-above-length",
+        ),
         pytest.param(BACP_HEADER, "course line", id="bacp-no-course"),
         pytest.param(
             BACP_HEADER + "course 1 1\ncourse 3 1\n", "exactly 1..m", id="bacp-course-ids-gap"

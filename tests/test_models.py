@@ -18,8 +18,10 @@ from bddsets.models import (
     hamming_valid,
     steiner_valid,
 )
+from bddsets.intexpr import const_expr, int_le, plus, wsum
 from bddsets.propagate import State
 from bddsets.search import optimize_incremental, solve
+from bddsets.sets import lexlt
 
 FANO = [
     {1, 2, 3},
@@ -190,6 +192,10 @@ def test_hamming_spec_validation():
         HammingSpec(5, 2, 6)
     with pytest.raises(ValueError):
         HammingSpec(5, 2, 3, 0)
+    # no two words of length 4 are distance 5 apart, so a model of this
+    # spec could only admit pairs that are too close
+    with pytest.raises(ValueError, match="exceeds the length"):
+        HammingSpec(4, 5, 2)
 
 
 def brute_force_optimum(spec):
@@ -238,6 +244,41 @@ def test_hamming_optimum_small_cases():
 def test_hamming_trivial_when_distance_exceeds_length():
     # no two weight-1 words of length 3 are distance >= 3 apart
     assert solver_optimum(HammingSpec(3, 3, 1)) == 1
+
+
+def adder_pair_constraint(store, si, sj, spec):
+    """The pair constraint in integer form, the reference for build_hamming:
+    two adder chains count agreeing positions, a comparator bounds the sum."""
+    both = [
+        (store.apply_and(store.literal(a), store.literal(b)),)
+        for a, b in zip(si.bits, sj.bits)
+    ]
+    neither = [
+        (store.apply_and(store.literal(a, False), store.literal(b, False)),)
+        for a, b in zip(si.bits, sj.bits)
+    ]
+    agree = plus(store, wsum(store, both, [1] * spec.l), wsum(store, neither, [1] * spec.l))
+    limit = const_expr(spec.l - spec.d)
+    return store.apply_and(int_le(store, agree, limit), lexlt(store, si, sj))
+
+
+@pytest.mark.parametrize(
+    "l,d,w", [(3, 3, 1), (4, 2, 2), (5, 3, 2), (5, 5, 2), (6, 4, 3), (7, 1, 3), (9, 4, 7)]
+)
+def test_hamming_pair_constraint_matches_adder_form(l, d, w):
+    spec = HammingSpec(l, d, w, n=3)
+    m = build_hamming(spec)
+    s = m.meta["set_vars"]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    pair_cons = m.constraints[spec.n:]
+    assert len(pair_cons) == len(pairs)
+    for (i, j), c in zip(pairs, pair_cons):
+        assert c.bdd == adder_pair_constraint(m.store, s[i], s[j], spec), (i, j)
+
+
+def test_hamming_build_node_count():
+    # the card_formulas form makes no adder or comparator nodes
+    assert build_hamming(HammingSpec(9, 4, 7, n=5)).store.node_count() == 2465
 
 
 def test_hamming_solution_valid():

@@ -338,8 +338,9 @@ def test_solved_store_freed_without_the_cycle_collector(build, mode):
 
 
 def test_optimize_keeps_best_when_a_build_hits_the_node_limit():
+    # n = 1 ends at 9 nodes and the n = 2 build needs 44
     def build(n):
-        model = build_hamming(HammingSpec(l=3, d=3, w=1, n=n), node_limit=50)
+        model = build_hamming(HammingSpec(l=3, d=3, w=1, n=n), node_limit=20)
         state = State(model.store, model.vars, model.constraints, mode="domain")
         return state, model.strategy, model.branch_vars
 
