@@ -320,6 +320,12 @@ class BacpSpec:
     prereqs: tuple  # pairs (course, prerequisite), 1-based
 
     def __post_init__(self):
+        if self.load_min > self.load_max:
+            raise ValueError(f"load_min {self.load_min} exceeds load_max {self.load_max}")
+        if self.courses_min > self.courses_max:
+            raise ValueError(
+                f"courses_min {self.courses_min} exceeds courses_max {self.courses_max}"
+            )
         m = len(self.loads)
         for c, p in self.prereqs:
             if not (1 <= c <= m and 1 <= p <= m) or c == p:

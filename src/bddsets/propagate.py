@@ -37,9 +37,26 @@ with non-TRUE specialisation stays active.
 All propagators are monotone, hence the fixpoint reached is independent
 of queue order.  Every change to a domain, a constraint or its active
 flag is trailed as (array, index, old value) so search can backtrack, and
-whole propagator runs are memoised on (constraint handle, scope domain
-handles) so revisiting a search node is nearly free.  propagate() takes
-an optional deadline, checked between runs.
+whole propagator runs are memoised so revisiting a search node is nearly
+free.  The memo maps one packed int (the constraint handle, then each
+scope variable's remainder in domain mode, where every stick is TRUE, or
+its stick and remainder otherwise, 32 bits per handle) to one packed int
+(the constraint after the run, its active bit and the scope domains, or
+-1 for a failure), so the cycle collector never tracks it.  propagate()
+takes an optional deadline, checked between runs.
+
+A queued constraint records the variable that woke it, or -1 when more
+than one did or enqueue_all() queued it.  Projection is idempotent, so
+once a constraint is at its fixpoint, shrinking only v's domain leaves
+its projection onto v equal to that domain: domain and split modes,
+which absorb projections exactly, skip that projection.  This needs
+every active constraint off the queue to be at its fixpoint, which holds
+from a successful propagate_from_scratch() on.  An undo below that
+point, a mark() taken with a non-empty queue or in a failed state, or an
+exception out of propagate() ends it, and a failure suspends it until
+the next undo; meanwhile every wake records -1.  Bounds, card and lex
+never skip, since there a stick can prune its own variable: with
+c = not(x1 and x2), fixing x1 fixes x2 through c.
 
 Precondition: each constraint's BDD mentions only bits of the variables
 in its scope.  State() checks this once and raises ValueError otherwise,
@@ -55,9 +72,6 @@ from .analysis import card_bounds, fixed_literals, lex_bounds, split
 from .engine import FALSE, TRUE, NodeStore
 
 MODES = ("domain", "bounds", "split", "card", "lex")
-
-_FAIL = ("fail",)  # cache marker
-
 
 class DeadlineExceeded(Exception):
     """Raised by State.propagate when its deadline has passed."""
@@ -85,8 +99,6 @@ class State:
         for c in constraints:
             bdd = c.bdd
             scope = tuple(self._index[id(v)] for v in c.scope)
-            if bdd == FALSE:
-                raise ValueError("constraint is unsatisfiable at build time")
             scope_bits = frozenset().union(*(self.bitsets[vi] for vi in scope))
             stray = store.var_set(bdd) - scope_bits
             if stray:
@@ -101,7 +113,15 @@ class State:
                 self.watch[vi].append(ci)
         self.trail = []
         self.queue = deque()
-        self._inq = set()
+        # per constraint: None off the queue, else what woke it (a
+        # variable, or -1 for several); see the module docstring
+        self._why = [None] * len(self.cons)
+        # _root: the trail length at the last complete fixpoint from
+        # scratch, or None; _trusted: the same, but None in a failed state;
+        # _scratch: enqueue_all() ran since the last undo or failure
+        self._root = self._trusted = None
+        self._scratch = False
+        self._exact = mode in ("domain", "split")
         self._prop_cache = {}
         self.runs = 0
         self.cache_hits = 0
@@ -112,6 +132,10 @@ class State:
     # -- trail ---------------------------------------------------------
 
     def mark(self) -> int:
+        if self.queue or self._trusted is None:
+            # undoing to this mark would leave constraints off the queue
+            # that are not at their fixpoint
+            self._root = self._trusted = None
         return len(self.trail)
 
     def undo(self, mark: int):
@@ -119,8 +143,17 @@ class State:
         while len(trail) > mark:
             array, idx, old = trail.pop()
             array[idx] = old
+        self._clear_queue()
+        if self._root is not None and mark < self._root:
+            self._root = None
+        self._trusted = self._root
+        self._scratch = False
+
+    def _clear_queue(self):
+        why = self._why
+        for ci in self.queue:
+            why[ci] = None
         self.queue.clear()
-        self._inq.clear()
 
     def _set(self, array, idx, value) -> bool:
         """Trail and store array[idx] = value; True if it changed."""
@@ -190,18 +223,25 @@ class State:
 
     # -- queue ---------------------------------------------------------
 
-    def enqueue(self, ci):
-        if self.active[ci] and ci not in self._inq:
-            self._inq.add(ci)
-            self.queue.append(ci)
+    def enqueue(self, ci, vi=-1):
+        """Queue constraint ci, woken by variable vi alone (-1: by more)."""
+        if self.active[ci]:
+            why = self._why[ci]
+            if why is None:
+                self._why[ci] = vi
+                self.queue.append(ci)
+            elif why != vi:
+                self._why[ci] = -1
 
     def enqueue_all(self):
         for ci in range(len(self.cons)):
             self.enqueue(ci)
+        self._scratch = self._exact
 
     def _wake(self, vi):
+        why = -1 if self._trusted is None else vi
         for ci in self.watch[vi]:
-            self.enqueue(ci)
+            self.enqueue(ci, why)
 
     # -- domain updates ------------------------------------------------
 
@@ -247,8 +287,9 @@ class State:
 
     # -- propagation ---------------------------------------------------
 
-    def _project(self, phi, scope):
-        """Projections of phi /\\ scope domains onto each scope variable.
+    def _project(self, phi, scope, skip=-1):
+        """Projections of phi /\\ scope domains onto each scope variable
+        but skip.
 
         Divide and conquer over the scope: each half is quantified away
         one variable at a time, conjoining that variable's remainder in
@@ -266,6 +307,8 @@ class State:
         stack = [(phi, list(scope), ())]
         while stack:
             p, keep, drop = stack.pop()
+            if len(keep) == 1 and keep[0] == skip:
+                continue
             for vi in reversed(drop):
                 p = store.and_exists(bitsets[vi], p, rem[vi])
             if len(keep) == 1:
@@ -275,7 +318,7 @@ class State:
             left, right = keep[:m], keep[m:]
             stack.append((p, right, left))
             stack.append((p, left, right))
-        if any(out[vi] == FALSE for vi in scope):
+        if FALSE in out.values():
             return None
         return out
 
@@ -291,57 +334,79 @@ class State:
         n = len(self.bits[vi])
         return rem is not None and len(rem) + len(cube_literals(self.stick[vi])) == n
 
-    def _run(self, ci) -> bool:
-        store = self.store
-        cbdd = self.cons[ci]
+    def _run(self, ci, skip) -> bool:
+        """Run constraint ci, skipping the projection onto variable skip
+        (-1: none) and its absorption."""
         scope = self.scopes[ci]
-        key = (cbdd, tuple((self.stick[vi], self.rem[vi]) for vi in scope))
+        # the leading 1 keeps keys of scopes of different lengths apart
+        key = self._pack(1 << 32 | self.cons[ci], scope)
         cached = self._prop_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
-            if cached is _FAIL:
+            if cached < 0:
                 return False
-            new_con, still_active, pairs = cached
-            self._set(self.cons, ci, new_con)
-            self._set(self.active, ci, still_active)
-            for vi, (s, r) in zip(scope, pairs):
-                self._put(vi, s, r)
+            domain = self.mode == "domain"
+            width = 32 if domain else 64
+            top = cached >> width * len(scope)
+            self._set(self.cons, ci, top >> 1)
+            self._set(self.active, ci, bool(top & 1))
+            for vi in scope:
+                stick = TRUE if domain else cached >> 32 & 0xFFFFFFFF
+                self._put(vi, stick, cached & 0xFFFFFFFF)
+                cached >>= width
             return True
         self.runs += 1
-        phi = cbdd
+        if not self._propagator(ci, skip):
+            self._prop_cache[key] = -1
+            return False
+        # packed in reverse, so the replay above unpacks in scope order
+        head = self.cons[ci] << 1 | self.active[ci]
+        self._prop_cache[key] = self._pack(head, reversed(scope))
+        return True
+
+    def _pack(self, head, scope):
+        """head, then the domain of each variable of scope, 32 bits per
+        handle: its remainder in domain mode, where every stick is TRUE,
+        else its stick and remainder."""
+        stick, rem = self.stick, self.rem
+        if self.mode == "domain":
+            for vi in scope:
+                head = head << 32 | rem[vi]
+        else:
+            for vi in scope:
+                head = (head << 32 | stick[vi]) << 32 | rem[vi]
+        return head
+
+    def _propagator(self, ci, skip) -> bool:
+        """The propagator of constraint ci, without the memo."""
+        store = self.store
+        scope = self.scopes[ci]
+        phi = self.cons[ci]
         if self.mode != "domain":
             sticks = [self.stick[vi] for vi in scope if self.stick[vi] != TRUE]
             if sticks:
                 phi = store.cofactor(phi, store.conjoin(sticks))
                 if phi == FALSE:
-                    self._prop_cache[key] = _FAIL
                     return False
                 self._set(self.cons, ci, phi)
         if phi == TRUE:
             self._set(self.active, ci, False)
-            self._prop_cache[key] = (phi, False, key[1])
             return True
-        deltas = self._project(phi, scope)
+        deltas = self._project(phi, scope, skip)
         if deltas is None:
-            self._prop_cache[key] = _FAIL
             return False
         for vi in scope:
-            if not self._absorb(vi, deltas[vi]):
-                self._prop_cache[key] = _FAIL
+            if vi != skip and not self._absorb(vi, deltas[vi]):
                 return False
-        still_active = self.active[ci]
         if (
-            still_active
-            and self.mode in ("domain", "split")
+            self.active[ci]
+            and self._exact
             and sum(not self._fixed(vi) for vi in scope) <= 1
         ):
             # these two modes absorb the projections exactly, so once at
             # most one scope variable is unfixed the domains imply the
             # constraint and running it again cannot change them
             self._set(self.active, ci, False)
-            still_active = False
-        pairs = tuple((self.stick[vi], self.rem[vi]) for vi in scope)
-        self._prop_cache[key] = (self.cons[ci], still_active, pairs)
         return True
 
     def propagate(self, deadline: float | None = None) -> bool:
@@ -353,17 +418,28 @@ class State:
         then consistent: undo() backtracks it, and propagate() resumes the
         queue where it stopped.
         """
-        while self.queue:
-            if deadline is not None and time.perf_counter() >= deadline:
-                raise DeadlineExceeded
-            ci = self.queue.popleft()
-            self._inq.discard(ci)
-            if not self.active[ci]:
-                continue
-            if not self._run(ci):
-                self.queue.clear()
-                self._inq.clear()
-                return False
+        queue, why, active = self.queue, self._why, self.active
+        try:
+            while queue:
+                if deadline is not None and time.perf_counter() >= deadline:
+                    raise DeadlineExceeded
+                ci = queue.popleft()
+                skip = why[ci]
+                why[ci] = None
+                if active[ci] and not self._run(ci, skip):
+                    self._clear_queue()
+                    self._trusted = None
+                    self._scratch = False
+                    return False
+        except BaseException:
+            # a run cut short by an exception leaves its constraint off
+            # the queue and short of its fixpoint
+            self._root = self._trusted = None
+            self._scratch = False
+            raise
+        if self._scratch:
+            self._root = self._trusted = len(self.trail)
+            self._scratch = False
         return True
 
     def propagate_from_scratch(self) -> bool:

@@ -131,6 +131,31 @@ def test_distance_above_length_exits_2(tmp_path, capsys):
     assert "exceeds the length" in capsys.readouterr().err
 
 
+BACP = (
+    "problem = bacp\nperiods = 2\nload_min = 1\nload_max = 2\n"
+    "courses_min = 1\ncourses_max = 2\nvariant = hybrid_dual\n"
+    "course 1 1\ncourse 2 2\ncourse 3 4\n"
+)
+
+
+def test_load_min_above_load_max_exits_2(tmp_path, capsys):
+    path = write(tmp_path, BACP.replace("load_min = 1", "load_min = 9"))
+    code, out = run_cli([path])
+    assert code == 2 and out == ""
+    assert "load_min 9 exceeds load_max 2" in capsys.readouterr().err
+
+
+def test_constraint_false_when_built_reports_unsat(tmp_path):
+    # hybrid_dual's I3 (the period loads sum to the course loads, 7) is
+    # FALSE when built: each period load is a 2-bit integer, so two sum to
+    # 6 at most.  Its first run wipes out at the root: unsat with 0 fails
+    path = write(tmp_path, BACP)
+    code, out = run_cli([path, "--target", "all"])
+    assert code == 0
+    (row,) = report_rows(out)
+    assert (row["status"], row["solutions"], row["fails"], row["nodes"]) == ("ok", "0", "0", "0")
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _ = run_cli([str(tmp_path / "nope.txt")])
     assert code == 2
@@ -221,7 +246,7 @@ def test_report_row_solve(tmp_path):
         "fails": 47,
         "nodes": 94,
         "optimum": "",
-        "peak_nodes": 15491,
+        "peak_nodes": 15468,
     }
 
 

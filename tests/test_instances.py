@@ -118,6 +118,14 @@ BACP_HEADER = (
         pytest.param(
             BACP_HEADER + "course 1\n", "need an id and a load", id="bacp-course-no-load"
         ),
+        pytest.param(
+            BACP.replace("load_min = 1", "load_min = 5"), "load_min 5 exceeds load_max 4",
+            id="bacp-load-min-above-max",
+        ),
+        pytest.param(
+            BACP.replace("courses_min = 1", "courses_min = 4"),
+            "courses_min 4 exceeds courses_max 3", id="bacp-courses-min-above-max",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -310,6 +310,12 @@ def test_bacp_spec_validation():
         BacpSpec((1, 1), 2, 0, 2, 0, 2, ((1, 2), (2, 1)))  # cycle
     with pytest.raises(ValueError):
         BacpSpec((1, 1), 2, 0, 2, 0, 2, ((1, 3),))  # out of range
+    with pytest.raises(ValueError, match="load_min 3 exceeds load_max 2"):
+        BacpSpec((1, 1), 2, 3, 2, 0, 2, ())
+    with pytest.raises(ValueError, match="courses_min 2 exceeds courses_max 1"):
+        BacpSpec((1, 1), 2, 0, 2, 2, 1, ())
+    # equal bounds are allowed
+    BacpSpec((1, 1), 2, 2, 2, 1, 1, ())
     with pytest.raises(ValueError):
         build_bacp(TOY, variant="tertiary")
 

@@ -1,9 +1,10 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
-from bddsets.engine import FALSE, TRUE, NodeStore
+from bddsets.engine import FALSE, TRUE, NodeLimitExceeded, NodeStore
 from bddsets.propagate import MODES, State
 from bddsets.search import snapshot
 from bddsets.sets import (
@@ -334,6 +335,93 @@ def test_propagation_cache_reused(store):
     assert st.cache_hits > 0
 
 
+@pytest.mark.parametrize("mode", ["domain", "split"])
+def test_wake_before_the_first_fixpoint_projects_the_whole_scope(mode):
+    # the constraint has not run, so it is not at its fixpoint: the run
+    # that x's change starts must still project onto x
+    store = NodeStore()
+    x, y = alloc_set_vars(store, Universe(3), ["x", "y"])
+    st = State(store, [x, y], [ConstraintBdd(not_member(store, 1, x), (x, y))], mode=mode)
+    assert st.assign(x, 2, True) and st.propagate()
+    assert st.fixed_bit_values(x) == {x.bit(1): False, x.bit(2): True}
+    # and after an undo to below the first complete fixpoint (a new
+    # decision, since the run memo would replay the first run)
+    st.undo(0)
+    assert st.propagate_from_scratch()
+    st.undo(0)
+    assert st.assign(x, 3, True) and st.propagate()
+    assert st.fixed_bit_values(x) == {x.bit(1): False, x.bit(3): True}
+
+
+# In the next three tests, x subseteq y is woken by 1 in x but left short
+# of its fixpoint.  The run that 3 in y then starts must still project onto
+# y and find 1 in y: 3 in y alone changes no projection onto x.
+
+def subseteq_state(mode):
+    store = NodeStore()
+    x, y = alloc_set_vars(store, Universe(3), ["x", "y"])
+    st = State(store, [x, y], [ConstraintBdd(subseteq(store, x, y), (x, y))], mode=mode)
+    assert st.propagate_from_scratch()
+    return st, x, y
+
+
+@pytest.mark.parametrize("mode", ["domain", "split"])
+def test_undo_to_a_mark_taken_with_a_queue_projects_the_whole_scope(mode):
+    # undo drops the queue
+    st, x, y = subseteq_state(mode)
+    assert st.assign(x, 1, True)
+    st.undo(st.mark())
+    assert st.assign(y, 3, True) and st.propagate()
+    assert st.fixed_bit_values(y) == {y.bit(1): True, y.bit(3): True}
+
+
+@pytest.mark.parametrize("mode", ["domain", "split"])
+def test_exception_in_propagate_projects_the_whole_scope_after(mode):
+    # the run that the exception cuts short is off the queue
+    st, x, y = subseteq_state(mode)
+    assert st.assign(x, 1, True)
+    with mock.patch.object(st.store, "and_exists", side_effect=NodeLimitExceeded):
+        with pytest.raises(NodeLimitExceeded):
+            st.propagate()
+    assert st.assign(y, 3, True) and st.propagate()
+    assert st.fixed_bit_values(y) == {y.bit(1): True, y.bit(3): True}
+
+
+@pytest.mark.parametrize("mode", ["domain", "split"])
+def test_failed_state_projects_the_whole_scope(mode):
+    # 1 in x forces 1 in z and 1 out of z: the second run fails, and the
+    # queue, x subseteq y included, is dropped; undoing to a mark taken in
+    # that failed state must not let later runs skip
+    store = NodeStore()
+    x, y, z = alloc_set_vars(store, Universe(3), ["x", "y", "z"])
+    one_in_x = member(store, 1, x)
+    cons = [
+        ConstraintBdd(store.apply_imp(one_in_x, member(store, 1, z)), (x, z)),
+        ConstraintBdd(store.apply_imp(one_in_x, not_member(store, 1, z)), (x, z)),
+        ConstraintBdd(subseteq(store, x, y), (x, y)),
+    ]
+    st = State(store, [x, y, z], cons, mode=mode)
+    assert st.propagate_from_scratch()
+    assert st.assign(x, 1, True) and not st.propagate()
+    st.undo(st.mark())
+    assert st.assign(y, 3, True) and st.propagate()
+    assert st.fixed_bit_values(y) == {y.bit(1): True, y.bit(3): True}
+
+
+@pytest.mark.parametrize("mode", ["bounds", "card", "lex"])
+def test_stick_prunes_its_own_variable(mode):
+    # these modes keep only an abstraction of a projection, so a run woken
+    # by x alone must still project onto x: c, specialised to 1 in x,
+    # fixes 2 out of x
+    store = NodeStore()
+    (x,) = alloc_set_vars(store, Universe(3), ["x"])
+    c = store.negate(store.apply_and(member(store, 1, x), member(store, 2, x)))
+    st = State(store, [x], [ConstraintBdd(c, (x,))], mode=mode)
+    assert st.propagate_from_scratch() and st.active == [True]
+    assert st.assign(x, 1, True) and st.propagate()
+    assert st.fixed_bit_values(x) == {x.bit(1): True, x.bit(2): False}
+
+
 def test_partition_scenario(store):
     # x, y, z partition {1,2,3}; placing 1 and 2 in x leaves 3 shared
     # between y and z, and excludes 1,2 from both
@@ -357,11 +445,27 @@ def test_partition_scenario(store):
     assert values["x"] == frozenset({1, 2})
 
 
-def test_false_constraint_rejected(store):
-    u = Universe(2)
-    (x,) = alloc_set_vars(store, u, ["x"])
-    with pytest.raises(ValueError):
-        State(store, [x], [ConstraintBdd(FALSE, (x,))])
+def test_false_constraint_fails_its_first_run(store):
+    # a constraint that is FALSE when built is kept, and its first run
+    # wipes out, like any other failure at the root
+    x, y = alloc_set_vars(store, Universe(2), ["x", "y"])
+    cons = [
+        ConstraintBdd(subseteq(store, x, y), (x, y)),
+        ConstraintBdd(FALSE, (x, y)),
+    ]
+    for mode in MODES:
+        st = State(store, [x, y], cons, mode=mode)
+        assert st.active == [True, True]
+        assert not st.propagate_from_scratch()
+        # the failed run is memoised like any other
+        st.undo(0)
+        runs = st.runs
+        assert not st.propagate_from_scratch()
+        assert st.runs == runs and st.cache_hits > 0, mode
+
+
+def test_unknown_mode_rejected(store):
+    (x,) = alloc_set_vars(store, Universe(2), ["x"])
     with pytest.raises(ValueError):
         State(store, [x], [], mode="strongest")
 

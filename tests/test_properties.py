@@ -28,19 +28,25 @@ nothing; and that after the same decisions the five modes are ordered by
 strength: domain and split reach equal domains, which lie within the card
 and lex domains, which lie within the bounds domains.  In every mode,
 State.is_determined's cube walk must agree with counting the fixed
-literals of the conjoined domain.
+literals of the conjoined domain.  In domain and split modes, where a
+run woken by one variable alone skips the projection onto it, every
+propagate() that succeeds must leave each active constraint at the
+fixpoint of a full projection, also over walks that mark the trail with
+constraints queued and that run out of time mid-propagation.
 """
 
 import gc
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bddsets import propagate
 from bddsets.analysis import fixed_literals, stick_of
 from bddsets.engine import FALSE, TRUE, NodeStore
-from bddsets.propagate import MODES, State
+from bddsets.propagate import MODES, DeadlineExceeded, State
 from bddsets.sets import (
     ConstraintBdd,
     Universe,
@@ -296,26 +302,74 @@ def check_retired(s, original):
             assert store.exists(others, both) == dom
 
 
+class Ticks:
+    """A clock for propagate() that reads 0, 1, 2, ...: a deadline of n
+    passes after n queue entries."""
+
+    def __init__(self):
+        self.now = -1
+
+    def perf_counter(self):
+        self.now += 1
+        return self.now
+
+
 def walk(s, steps, invariant):
     """Propagate s to its root fixpoint, then take steps: decisions, each
     undone at once if it fails, and undos of the last open decision.
-    invariant() runs at the root and after every step."""
+    invariant() runs at the root and after every step.
+
+    A plain decision (variable, element index, value) marks the trail
+    first.  ("late", decision) marks it after the assignment, while the
+    constraints it woke are queued.  ("timeout", decision, n, resume)
+    gives propagate() a deadline that passes after n queue entries, then
+    resumes propagation or undoes the decision.  Undo drops the queue, so
+    after undoing to a mark the walk queues again what was queued when the
+    mark was taken, as a caller resuming from that state must."""
     assert s.propagate_from_scratch()
     invariant()
-    marks = []
+    marks = []  # (trail mark, constraints queued when it was taken)
+
+    def undo():
+        mark, queued = marks.pop()
+        s.undo(mark)
+        for ci in queued:
+            s.enqueue(ci)
+
     for step in steps:
         if step == "undo":
             if marks:
-                s.undo(marks.pop())
-        else:
-            vi, i, value = step
-            marks.append(s.mark())
-            if not (s.assign_bit(vi, s.bits[vi][i], value) and s.propagate()):
-                s.undo(marks.pop())
+                undo()
+            invariant()
+            continue
+        kind, (vi, i, value), *deadline = step if isinstance(step[0], str) else ("plain", step)
+        if kind != "late":
+            marks.append((s.mark(), tuple(s.queue)))
+        ok = s.assign_bit(vi, s.bits[vi][i], value)
+        if kind == "late":
+            marks.append((s.mark(), tuple(s.queue)))
+        if ok and kind == "timeout":
+            runs, resume = deadline
+            try:
+                with mock.patch.object(propagate, "time", Ticks()):
+                    ok = s.propagate(runs)
+            except DeadlineExceeded:
+                ok = resume and s.propagate()
+        elif ok:
+            ok = s.propagate()
+        if not ok:
+            undo()
         invariant()
 
 
 walk_steps = st.lists(st.one_of(decision, st.just("undo")), min_size=4, max_size=16)
+late = st.tuples(st.just("late"), decision)
+timeout = st.tuples(
+    st.just("timeout"), decision, st.integers(min_value=0, max_value=6), st.booleans()
+)
+wake_steps = st.lists(
+    st.one_of(decision, late, timeout, st.just("undo")), min_size=4, max_size=16
+)
 
 
 @pytest.mark.parametrize("mode", ["domain", "split"])
@@ -325,6 +379,28 @@ def test_retired_constraints_are_implied_by_the_domains(mode, steps):
     s = trail_problem(mode)
     original = list(s.cons)
     walk(s, steps, partial(check_retired, s, original))
+
+
+def check_fixpoint(s):
+    """With the queue empty, every active constraint is at its fixpoint:
+    a full projection onto its whole scope gives back every remainder, so
+    running it again changes no domain."""
+    if s.queue:
+        return
+    store = s.store
+    for ci, scope in enumerate(s.scopes):
+        if s.active[ci]:
+            phi = store.cofactor(s.cons[ci], store.conjoin([s.stick[vi] for vi in scope]))
+            assert s._project(phi, scope) == {vi: s.rem[vi] for vi in scope}, ci
+
+
+# the modes whose runs skip the projection onto a lone waking variable
+@pytest.mark.parametrize("mode", ["domain", "split"])
+@PROPERTY_SETTINGS
+@given(steps=wake_steps)
+def test_propagate_reaches_the_fixpoint_of_full_runs(mode, steps):
+    s = trail_problem(mode)
+    walk(s, steps, partial(check_fixpoint, s))
 
 
 def subset(store, a, b):

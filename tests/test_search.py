@@ -9,7 +9,7 @@ import pytest
 from bddsets import propagate, search
 from bddsets.engine import NodeStore, TRUE
 from bddsets.models import HammingSpec, SteinerSpec, build_hamming, build_steiner
-from bddsets.propagate import State
+from bddsets.propagate import MODES, State
 from bddsets.search import (
     SearchResult,
     Strategy,
@@ -222,6 +222,16 @@ def test_node_limit_in_search_undoes_to_the_root_fixpoint():
         res = solve(st, model.strategy, branch_vars=model.branch_vars)
         assert res.status == "nodelimit" and res.nodes > 0
         assert (st.stick, st.rem, st.cons, st.active) == root, limit
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_memo_is_untracked_by_the_cycle_collector(mode):
+    # the memo maps ints to ints, so the collector never walks it
+    model = build_steiner(SteinerSpec(2, 3, 7))
+    st = State(model.store, model.vars, model.constraints, mode=mode)
+    res = solve(st, model.strategy, branch_vars=model.branch_vars, all_solutions=True)
+    assert len(res.solutions) == 30 and st.cache_hits > 0
+    assert gc.is_tracked(st._prop_cache) is False
 
 
 def test_search_leaves_state_restored(store):
