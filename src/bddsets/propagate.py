@@ -39,24 +39,23 @@ of queue order.  Every change to a domain, a constraint or its active
 flag is trailed as (array, index, old value) so search can backtrack, and
 whole propagator runs are memoised so revisiting a search node is nearly
 free.  The memo maps one packed int (the constraint handle, then each
-scope variable's remainder in domain mode, where every stick is TRUE, or
-its stick and remainder otherwise, 32 bits per handle) to one packed int
-(the constraint after the run, its active bit and the scope domains, or
--1 for a failure), so the cycle collector never tracks it.  propagate()
-takes an optional deadline, checked between runs.
+scope variable's stick and remainder, 32 bits per handle) to one packed
+int (the constraint after the run, its active bit and the scope domains,
+or -1 for a failure), so the cycle collector never tracks it.
+propagate() takes an optional deadline, checked between runs.
 
-A queued constraint records the variable that woke it, or -1 when more
-than one did or enqueue_all() queued it.  Projection is idempotent, so
-once a constraint is at its fixpoint, shrinking only v's domain leaves
-its projection onto v equal to that domain: domain and split modes,
-which absorb projections exactly, skip that projection.  This needs
-every active constraint off the queue to be at its fixpoint, which holds
-from a successful propagate_from_scratch() on.  An undo below that
-point, a mark() taken with a non-empty queue or in a failed state, or an
-exception out of propagate() ends it, and a failure suspends it until
-the next undo; meanwhile every wake records -1.  Bounds, card and lex
-never skip, since there a stick can prune its own variable: with
-c = not(x1 and x2), fixing x1 fixes x2 through c.
+Every active constraint that is not on the queue is at its fixpoint.
+Three rules keep this invariant: State() queues every active constraint;
+a run that fails or is cut short by an exception puts its constraint back
+on the queue, so a failed state stays failed until an undo; and undo()
+restores the queue that mark() saw.  A queued constraint records the
+variable that woke it, or -1 when more than one did or it was queued
+otherwise.  Projection is idempotent, so once a constraint is at its
+fixpoint, shrinking only v's domain leaves its projection onto v equal
+to that domain: domain and split modes, which absorb projections
+exactly, skip that projection.  Bounds, card and lex never skip, since
+there a stick can prune its own variable: with c = not(x1 and x2),
+fixing x1 fixes x2 through c.
 
 Precondition: each constraint's BDD mentions only bits of the variables
 in its scope.  State() checks this once and raises ValueError otherwise,
@@ -86,7 +85,10 @@ class State:
         self.store = store
         self.mode = mode
         self.vars = list(variables)
-        self._index = {id(v): i for i, v in enumerate(self.vars)}
+        self._index = {}
+        for i, v in enumerate(self.vars):
+            if self._index.setdefault(id(v), i) != i:
+                raise ValueError(f"variable {v!r} is listed twice")
         self.bits = [tuple(v.bits) for v in self.vars]
         self.bitsets = [frozenset(b) for b in self.bits]
         n = len(self.vars)
@@ -98,13 +100,17 @@ class State:
         self.watch = [[] for _ in range(n)]
         for c in constraints:
             bdd = c.bdd
-            scope = tuple(self._index[id(v)] for v in c.scope)
+            name = c.name or repr(c)
+            scope = tuple(self._index.get(id(v), -1) for v in c.scope)
+            if -1 in scope:
+                v = c.scope[scope.index(-1)]
+                raise ValueError(f"constraint {name} names {v!r}, which is not a state variable")
+            if len(set(scope)) < len(scope):
+                raise ValueError(f"constraint {name} repeats a scope variable")
             scope_bits = frozenset().union(*(self.bitsets[vi] for vi in scope))
             stray = store.var_set(bdd) - scope_bits
             if stray:
-                raise ValueError(
-                    f"constraint {c.name or c!r} mentions bit {min(stray)} outside its scope"
-                )
+                raise ValueError(f"constraint {name} mentions bit {min(stray)} outside its scope")
             ci = len(self.cons)
             self.cons.append(bdd)
             self.scopes.append(scope)
@@ -112,15 +118,11 @@ class State:
             for vi in scope:
                 self.watch[vi].append(ci)
         self.trail = []
-        self.queue = deque()
+        # every active constraint starts on the queue, none yet run
+        self.queue = deque(ci for ci, a in enumerate(self.active) if a)
         # per constraint: None off the queue, else what woke it (a
         # variable, or -1 for several); see the module docstring
-        self._why = [None] * len(self.cons)
-        # _root: the trail length at the last complete fixpoint from
-        # scratch, or None; _trusted: the same, but None in a failed state;
-        # _scratch: enqueue_all() ran since the last undo or failure
-        self._root = self._trusted = None
-        self._scratch = False
+        self._why = [-1 if a else None for a in self.active]
         self._exact = mode in ("domain", "split")
         self._prop_cache = {}
         self.runs = 0
@@ -131,29 +133,26 @@ class State:
 
     # -- trail ---------------------------------------------------------
 
-    def mark(self) -> int:
-        if self.queue or self._trusted is None:
-            # undoing to this mark would leave constraints off the queue
-            # that are not at their fixpoint
-            self._root = self._trusted = None
-        return len(self.trail)
+    def mark(self):
+        """An opaque token for undo(): the trail length, and the queue
+        with what woke each entry."""
+        why = self._why
+        return len(self.trail), [(ci, why[ci]) for ci in self.queue]
 
-    def undo(self, mark: int):
-        trail = self.trail
-        while len(trail) > mark:
+    def undo(self, mark):
+        """Restore the domains, constraints, active flags and queue that
+        mark() saw."""
+        size, queued = mark
+        trail, queue, why = self.trail, self.queue, self._why
+        while len(trail) > size:
             array, idx, old = trail.pop()
             array[idx] = old
-        self._clear_queue()
-        if self._root is not None and mark < self._root:
-            self._root = None
-        self._trusted = self._root
-        self._scratch = False
-
-    def _clear_queue(self):
-        why = self._why
-        for ci in self.queue:
+        for ci in queue:
             why[ci] = None
-        self.queue.clear()
+        queue.clear()
+        for ci, woke in queued:
+            why[ci] = woke
+            queue.append(ci)
 
     def _set(self, array, idx, value) -> bool:
         """Trail and store array[idx] = value; True if it changed."""
@@ -233,13 +232,8 @@ class State:
             elif why != vi:
                 self._why[ci] = -1
 
-    def enqueue_all(self):
-        for ci in range(len(self.cons)):
-            self.enqueue(ci)
-        self._scratch = self._exact
-
     def _wake(self, vi):
-        why = -1 if self._trusted is None else vi
+        why = vi if self._exact else -1
         for ci in self.watch[vi]:
             self.enqueue(ci, why)
 
@@ -345,15 +339,12 @@ class State:
             self.cache_hits += 1
             if cached < 0:
                 return False
-            domain = self.mode == "domain"
-            width = 32 if domain else 64
-            top = cached >> width * len(scope)
+            top = cached >> 64 * len(scope)
             self._set(self.cons, ci, top >> 1)
             self._set(self.active, ci, bool(top & 1))
             for vi in scope:
-                stick = TRUE if domain else cached >> 32 & 0xFFFFFFFF
-                self._put(vi, stick, cached & 0xFFFFFFFF)
-                cached >>= width
+                self._put(vi, cached >> 32 & 0xFFFFFFFF, cached & 0xFFFFFFFF)
+                cached >>= 64
             return True
         self.runs += 1
         if not self._propagator(ci, skip):
@@ -365,16 +356,11 @@ class State:
         return True
 
     def _pack(self, head, scope):
-        """head, then the domain of each variable of scope, 32 bits per
-        handle: its remainder in domain mode, where every stick is TRUE,
-        else its stick and remainder."""
+        """head, then the stick and remainder of each variable of scope,
+        32 bits per handle."""
         stick, rem = self.stick, self.rem
-        if self.mode == "domain":
-            for vi in scope:
-                head = head << 32 | rem[vi]
-        else:
-            for vi in scope:
-                head = (head << 32 | stick[vi]) << 32 | rem[vi]
+        for vi in scope:
+            head = (head << 32 | stick[vi]) << 32 | rem[vi]
         return head
 
     def _propagator(self, ci, skip) -> bool:
@@ -416,32 +402,29 @@ class State:
         before each propagator run and DeadlineExceeded is raised once it
         reaches the deadline.  Runs are never cut short, so the state is
         then consistent: undo() backtracks it, and propagate() resumes the
-        queue where it stopped.
+        queue where it stopped.  A run that fails or raises puts its
+        constraint back on the queue, so after a failure propagate()
+        fails again until an undo.
         """
         queue, why, active = self.queue, self._why, self.active
-        try:
-            while queue:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    raise DeadlineExceeded
-                ci = queue.popleft()
-                skip = why[ci]
-                why[ci] = None
+        while queue:
+            if deadline is not None and time.perf_counter() >= deadline:
+                raise DeadlineExceeded
+            ci = queue.popleft()
+            skip = why[ci]
+            why[ci] = None
+            # a run that fails or is cut short leaves ci short of its
+            # fixpoint, so it goes back on the queue
+            try:
                 if active[ci] and not self._run(ci, skip):
-                    self._clear_queue()
-                    self._trusted = None
-                    self._scratch = False
+                    self.enqueue(ci)
                     return False
-        except BaseException:
-            # a run cut short by an exception leaves its constraint off
-            # the queue and short of its fixpoint
-            self._root = self._trusted = None
-            self._scratch = False
-            raise
-        if self._scratch:
-            self._root = self._trusted = len(self.trail)
-            self._scratch = False
+            except BaseException:
+                self.enqueue(ci)
+                raise
         return True
 
     def propagate_from_scratch(self) -> bool:
-        self.enqueue_all()
+        for ci in range(len(self.cons)):
+            self.enqueue(ci)
         return self.propagate()

@@ -46,8 +46,7 @@ class SearchResult:
 
 
 class _Stop(Exception):
-    def __init__(self, status):
-        self.status = status
+    """Raised once search has found as many solutions as asked for."""
 
 
 def snapshot(state) -> dict:
@@ -74,7 +73,8 @@ def solve(
     time_limit: float | None = None,
     on_step=None,
 ) -> SearchResult:
-    """Run depth-first search from the current state.
+    """Run depth-first search from the current state, after propagating
+    its queue (every active constraint, in a new State).
 
     branch_vars restricts the labeling order to a subset of variables (the
     rest must become determined by propagation, or they are labeled bit by
@@ -95,7 +95,7 @@ def solve(
 
     def deadline_check():
         if deadline is not None and time.perf_counter() >= deadline:
-            raise _Stop("timeout")
+            raise DeadlineExceeded
 
     def pick():
         cands = [vi for vi in order if not state.is_determined(vi)]
@@ -116,10 +116,10 @@ def solve(
 
     def record():
         res.solutions.append(snapshot(state))
-        if max_solutions is not None and len(res.solutions) >= max_solutions:
-            raise _Stop("sat")
-        if not all_solutions:
-            raise _Stop("sat")
+        if not all_solutions or (
+            max_solutions is not None and len(res.solutions) >= max_solutions
+        ):
+            raise _Stop
 
     def dfs():
         deadline_check()
@@ -144,7 +144,6 @@ def solve(
                 state.undo(m)
 
     try:
-        state.enqueue_all()
         if state.propagate(deadline):
             if on_step is not None:
                 on_step(state, 0)
@@ -152,8 +151,8 @@ def solve(
             res.status = "all" if all_solutions else "unsat"
             if all_solutions and not res.solutions:
                 res.status = "unsat"
-    except _Stop as stop:
-        res.status = stop.status
+    except _Stop:
+        res.status = "sat"
     except DeadlineExceeded:
         res.status = "timeout"
     except NodeLimitExceeded:

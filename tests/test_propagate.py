@@ -342,13 +342,14 @@ def test_wake_before_the_first_fixpoint_projects_the_whole_scope(mode):
     store = NodeStore()
     x, y = alloc_set_vars(store, Universe(3), ["x", "y"])
     st = State(store, [x, y], [ConstraintBdd(not_member(store, 1, x), (x, y))], mode=mode)
+    start = st.mark()
     assert st.assign(x, 2, True) and st.propagate()
     assert st.fixed_bit_values(x) == {x.bit(1): False, x.bit(2): True}
-    # and after an undo to below the first complete fixpoint (a new
-    # decision, since the run memo would replay the first run)
-    st.undo(0)
-    assert st.propagate_from_scratch()
-    st.undo(0)
+    # and after an undo to the start, which queues the constraint again
+    # (a new decision, since the run memo would replay the first run)
+    st.undo(start)
+    assert st.propagate()
+    st.undo(start)
     assert st.assign(x, 3, True) and st.propagate()
     assert st.fixed_bit_values(x) == {x.bit(1): False, x.bit(3): True}
 
@@ -367,31 +368,34 @@ def subseteq_state(mode):
 
 @pytest.mark.parametrize("mode", ["domain", "split"])
 def test_undo_to_a_mark_taken_with_a_queue_projects_the_whole_scope(mode):
-    # undo drops the queue
+    # undo puts x subseteq y back on the queue, woken by x alone
     st, x, y = subseteq_state(mode)
     assert st.assign(x, 1, True)
     st.undo(st.mark())
+    assert list(st.queue) == [0] and st._why == [st.var_index(x)]
     assert st.assign(y, 3, True) and st.propagate()
     assert st.fixed_bit_values(y) == {y.bit(1): True, y.bit(3): True}
 
 
 @pytest.mark.parametrize("mode", ["domain", "split"])
 def test_exception_in_propagate_projects_the_whole_scope_after(mode):
-    # the run that the exception cuts short is off the queue
+    # the run that the exception cuts short goes back on the queue
     st, x, y = subseteq_state(mode)
     assert st.assign(x, 1, True)
     with mock.patch.object(st.store, "and_exists", side_effect=NodeLimitExceeded):
         with pytest.raises(NodeLimitExceeded):
             st.propagate()
+    assert list(st.queue) == [0] and st._why == [-1]
     assert st.assign(y, 3, True) and st.propagate()
     assert st.fixed_bit_values(y) == {y.bit(1): True, y.bit(3): True}
 
 
 @pytest.mark.parametrize("mode", ["domain", "split"])
 def test_failed_state_projects_the_whole_scope(mode):
-    # 1 in x forces 1 in z and 1 out of z: the second run fails, and the
-    # queue, x subseteq y included, is dropped; undoing to a mark taken in
-    # that failed state must not let later runs skip
+    # 1 in x forces 1 in z and 1 out of z: the second run fails and goes
+    # back on the queue, so the state stays failed, also after an undo to
+    # a mark taken in it; x subseteq y, queued when the failure came,
+    # still runs and projects onto y
     store = NodeStore()
     x, y, z = alloc_set_vars(store, Universe(3), ["x", "y", "z"])
     one_in_x = member(store, 1, x)
@@ -404,8 +408,31 @@ def test_failed_state_projects_the_whole_scope(mode):
     assert st.propagate_from_scratch()
     assert st.assign(x, 1, True) and not st.propagate()
     st.undo(st.mark())
-    assert st.assign(y, 3, True) and st.propagate()
+    assert st.assign(y, 3, True) and not st.propagate()
     assert st.fixed_bit_values(y) == {y.bit(1): True, y.bit(3): True}
+    assert not st.propagate()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_failed_state_stays_failed_until_an_undo(mode):
+    # 1 in x forces 1 in z and 1 out of z; the failed run is queued
+    # again, so every propagate() fails until an undo to before 1 in x
+    store = NodeStore()
+    x, z = alloc_set_vars(store, Universe(3), ["x", "z"])
+    one_in_x = member(store, 1, x)
+    cons = [
+        ConstraintBdd(store.apply_imp(one_in_x, member(store, 1, z)), (x, z)),
+        ConstraintBdd(store.apply_imp(one_in_x, not_member(store, 1, z)), (x, z)),
+    ]
+    st = State(store, [x, z], cons, mode=mode)
+    assert st.propagate()
+    m = st.mark()
+    assert st.assign(x, 1, True) and not st.propagate()
+    assert not st.propagate()
+    assert not st.propagate()
+    st.undo(m)
+    assert st.propagate() and not st.queue
+    assert st.fixed_bit_values(x) == {}
 
 
 @pytest.mark.parametrize("mode", ["bounds", "card", "lex"])
@@ -455,10 +482,11 @@ def test_false_constraint_fails_its_first_run(store):
     ]
     for mode in MODES:
         st = State(store, [x, y], cons, mode=mode)
+        start = st.mark()
         assert st.active == [True, True]
         assert not st.propagate_from_scratch()
         # the failed run is memoised like any other
-        st.undo(0)
+        st.undo(start)
         runs = st.runs
         assert not st.propagate_from_scratch()
         assert st.runs == runs and st.cache_hits > 0, mode
@@ -479,3 +507,19 @@ def test_constraint_outside_its_scope_rejected(store):
     with pytest.raises(ValueError, match=f"x-sub-y.* bit {y.bits[0]} outside"):
         State(store, [x, y], [wrong])
     State(store, [x, y], [ConstraintBdd(subseteq(store, x, y), (x, y))])
+
+
+@pytest.mark.parametrize(
+    "variables,scope,match",
+    [
+        ("xx", "x", r"variable SetVar\(x\) is listed twice"),
+        ("x", "xx", "in-x repeats a scope variable"),
+        ("x", "xy", r"in-x names SetVar\(y\), which is not a state variable"),
+    ],
+    ids=["variable-listed-twice", "scope-repeats-a-variable", "scope-outside-the-state"],
+)
+def test_malformed_state_input_rejected(store, variables, scope, match):
+    named = dict(zip("xy", alloc_set_vars(store, Universe(3), ["x", "y"])))
+    in_x = ConstraintBdd(member(store, 1, named["x"]), tuple(named[v] for v in scope), "in-x")
+    with pytest.raises(ValueError, match=match):
+        State(store, [named[v] for v in variables], [in_x])

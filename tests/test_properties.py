@@ -16,9 +16,12 @@ cycle collector.
 
 Each trail example is a stack of search levels on a small set problem:
 each level marks the trail, makes random branch decisions with
-propagation, and may collect garbage from the state's roots.  Undoing the
-levels in reverse must restore every domain, constraint and active flag
-exactly, with every restored handle still a live node.
+propagation, and may collect garbage from the state's roots.  A level may
+take its mark with the constraints its first decision woke still queued,
+and a level after a failed one takes it in the failed state.  Undoing the
+levels in reverse must restore every domain, constraint, active flag and
+the queue, each entry with what woke it, exactly, with every restored
+handle still a live node.
 
 The propagation properties check State._project against quantifying the
 conjunction of a random constraint and random domains by brute force;
@@ -30,9 +33,10 @@ and lex domains, which lie within the bounds domains.  In every mode,
 State.is_determined's cube walk must agree with counting the fixed
 literals of the conjoined domain.  In domain and split modes, where a
 run woken by one variable alone skips the projection onto it, every
-propagate() that succeeds must leave each active constraint at the
-fixpoint of a full projection, also over walks that mark the trail with
-constraints queued and that run out of time mid-propagation.
+active constraint off the queue must be at the fixpoint of a full
+projection after every propagate() that succeeds and every undo, also
+over walks that mark the trail with constraints queued and that run out
+of time mid-propagation.
 """
 
 import gc
@@ -200,8 +204,15 @@ def trail_problem(mode):
     return State(store, [x, y, z], cons, mode=mode)
 
 
+def queue_of(st):
+    """The queue, each entry with what woke it; no constraint off the
+    queue may record a waker."""
+    assert sum(why is not None for why in st._why) == len(st.queue)
+    return [(ci, st._why[ci]) for ci in st.queue]
+
+
 def state_of(st):
-    return (list(st.stick), list(st.rem), list(st.cons), list(st.active))
+    return (list(st.stick), list(st.rem), list(st.cons), list(st.active), queue_of(st))
 
 
 def assert_live(store, handles):
@@ -210,14 +221,15 @@ def assert_live(store, handles):
             assert store.mk_node(v, t, f) == n, "handle lost to a collection"
 
 
-# a level: branch decisions (variable, element index, value), then
-# whether to collect garbage before the next level
+# a level: branch decisions (variable, element index, value), whether to
+# collect garbage before the next level, and whether to mark the trail
+# after the first decision's assignment, with what it woke still queued
 decision = st.tuples(
     st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=3),
     st.booleans(),
 )
-level = st.tuples(st.lists(decision, min_size=1, max_size=6), st.booleans())
+level = st.tuples(st.lists(decision, min_size=1, max_size=6), st.booleans(), st.booleans())
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -225,10 +237,13 @@ level = st.tuples(st.lists(decision, min_size=1, max_size=6), st.booleans())
 @given(levels=st.lists(level, min_size=1, max_size=4))
 def test_undo_restores_state_in_every_mode(mode, levels):
     s = trail_problem(mode)
-    assert s.propagate_from_scratch()
+    assert s.propagate()
     arrays = (s.stick, s.rem, s.cons, s.active)
     saved = []
-    for decisions, collect in levels:
+    for decisions, collect, late in levels:
+        if late:
+            vi, i, value = decisions[0]
+            s.assign_bit(vi, s.bits[vi][i], value)
         saved.append((s.mark(), state_of(s)))
         for vi, i, value in decisions:
             if not (s.assign_bit(vi, s.bits[vi][i], value) and s.propagate()):
@@ -323,18 +338,16 @@ def walk(s, steps, invariant):
     first.  ("late", decision) marks it after the assignment, while the
     constraints it woke are queued.  ("timeout", decision, n, resume)
     gives propagate() a deadline that passes after n queue entries, then
-    resumes propagation or undoes the decision.  Undo drops the queue, so
-    after undoing to a mark the walk queues again what was queued when the
-    mark was taken, as a caller resuming from that state must."""
-    assert s.propagate_from_scratch()
+    resumes propagation or undoes the decision.  Undo must restore the
+    queue that the mark saw, each entry with what woke it."""
+    assert s.propagate()
     invariant()
-    marks = []  # (trail mark, constraints queued when it was taken)
+    marks = []  # (trail mark, queue_of(s) when it was taken)
 
     def undo():
         mark, queued = marks.pop()
         s.undo(mark)
-        for ci in queued:
-            s.enqueue(ci)
+        assert queue_of(s) == queued
 
     for step in steps:
         if step == "undo":
@@ -344,10 +357,10 @@ def walk(s, steps, invariant):
             continue
         kind, (vi, i, value), *deadline = step if isinstance(step[0], str) else ("plain", step)
         if kind != "late":
-            marks.append((s.mark(), tuple(s.queue)))
+            marks.append((s.mark(), queue_of(s)))
         ok = s.assign_bit(vi, s.bits[vi][i], value)
         if kind == "late":
-            marks.append((s.mark(), tuple(s.queue)))
+            marks.append((s.mark(), queue_of(s)))
         if ok and kind == "timeout":
             runs, resume = deadline
             try:
@@ -382,14 +395,12 @@ def test_retired_constraints_are_implied_by_the_domains(mode, steps):
 
 
 def check_fixpoint(s):
-    """With the queue empty, every active constraint is at its fixpoint:
-    a full projection onto its whole scope gives back every remainder, so
+    """Every active constraint off the queue is at its fixpoint: a full
+    projection onto its whole scope gives back every remainder, so
     running it again changes no domain."""
-    if s.queue:
-        return
     store = s.store
     for ci, scope in enumerate(s.scopes):
-        if s.active[ci]:
+        if s.active[ci] and s._why[ci] is None:
             phi = store.cofactor(s.cons[ci], store.conjoin([s.stick[vi] for vi in scope]))
             assert s._project(phi, scope) == {vi: s.rem[vi] for vi in scope}, ci
 

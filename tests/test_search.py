@@ -195,6 +195,7 @@ def test_timeout_in_root_propagation_leaves_state_consistent(monkeypatch):
     monkeypatch.setattr(search, "time", clock)
     monkeypatch.setattr(propagate, "time", clock)
     st = State(model.store, model.vars, model.constraints)
+    start = st.mark()
     res = solve(st, model.strategy, branch_vars=model.branch_vars, time_limit=10)
     assert res.status == "timeout" and res.nodes == 0
     assert 0 < st.runs < fresh.runs
@@ -202,9 +203,10 @@ def test_timeout_in_root_propagation_leaves_state_consistent(monkeypatch):
     # no run was cut short, so the queue resumes where it stopped ...
     assert st.propagate()
     assert (st.stick, st.rem, st.cons, st.active) == fixpoint
-    # ... and undo restores the state propagation started from
-    st.undo(0)
-    assert st.propagate_from_scratch()
+    # ... and undo restores the state propagation started from, queue
+    # included
+    st.undo(start)
+    assert st.propagate()
     assert (st.stick, st.rem, st.cons, st.active) == fixpoint
 
 
