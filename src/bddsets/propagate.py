@@ -18,7 +18,11 @@ Sticks record exact information, so every mode may specialise constraints
 against them.  A stick is a cube, a conjunction of literals, so
 specialising a constraint to the sticks of its scope, that is quantifying
 the stick bits out of its conjunction with them, is a cofactor: the
-constraint restricted to the conjoined sticks (NodeStore.cofactor).
+constraint restricted to the conjoined sticks (NodeStore.cofactor).  In
+bounds mode every remainder is TRUE, so a bit is fixed in the projection
+of a specialised constraint onto its variable exactly when it is fixed in
+the constraint itself: a bounds run reads the constraint's fixed literals
+into the sticks and projects nothing.
 
 Projection divides the scope in halves and quantifies a half away one
 variable at a time: each step is one and_exists over that variable's bits
@@ -45,17 +49,33 @@ or -1 for a failure), so the cycle collector never tracks it.
 propagate() takes an optional deadline, checked between runs.
 
 Every active constraint that is not on the queue is at its fixpoint.
-Three rules keep this invariant: State() queues every active constraint;
-a run that fails or is cut short by an exception puts its constraint back
-on the queue, so a failed state stays failed until an undo; and undo()
-restores the queue that mark() saw.  A queued constraint records the
-variable that woke it, or -1 when more than one did or it was queued
-otherwise.  Projection is idempotent, so once a constraint is at its
-fixpoint, shrinking only v's domain leaves its projection onto v equal
-to that domain: domain and split modes, which absorb projections
-exactly, skip that projection.  Bounds, card and lex never skip, since
-there a stick can prune its own variable: with c = not(x1 and x2),
-fixing x1 fixes x2 through c.
+Four rules keep this invariant: State() queues every active constraint;
+a run wakes the watchers of each variable it changes except its own
+constraint, which it leaves at its fixpoint; a run that fails or is cut
+short by an exception puts its constraint back on the queue, so a failed
+state stays failed until an undo; and undo() restores the queue that
+mark() saw.
+
+A run is at its own fixpoint in every mode.  Let P_x be the projection of
+the constraint conjoined with the product of the domains D onto scope
+variable x.  After the run P_x <= D'_x <= D_x for every x: domain and
+split keep P_x, and the bounds, card and lex abstractions contain it and
+lie within D_x.  Every tuple supporting a value of P_x lies in the
+product of the P, hence of the D', so a second run would project the
+same P_x and absorb the same domains.  It would only specialise the
+constraint to the sticks the first run extended, retiring it on TRUE, so
+the run does that itself and ends where a second one would (Schulte &
+Stuckey, "Efficient Constraint Propagation Engines", TOPLAS 2008, on
+idempotent propagators).  A constraint the run retires is never run
+again and is left as it is.
+
+A queued constraint records the variable that woke it, or -1 when more
+than one did or it was queued otherwise.  Projection is idempotent, so
+once a constraint is at its fixpoint, shrinking only v's domain leaves
+its projection onto v equal to that domain: domain and split modes,
+which absorb projections exactly, skip that projection.  Bounds, card
+and lex never skip, since there a stick can prune its own variable: with
+c = not(x1 and x2), fixing x1 fixes x2 through c.
 
 Precondition: each constraint's BDD mentions only bits of the variables
 in its scope.  State() checks this once and raises ValueError otherwise,
@@ -124,6 +144,8 @@ class State:
         # variable, or -1 for several); see the module docstring
         self._why = [-1 if a else None for a in self.active]
         self._exact = mode in ("domain", "split")
+        # the constraint propagate() is running, which _wake leaves alone
+        self._running = -1
         self._prop_cache = {}
         self.runs = 0
         self.cache_hits = 0
@@ -233,9 +255,12 @@ class State:
                 self._why[ci] = -1
 
     def _wake(self, vi):
+        """Queue the watchers of variable vi but the running constraint."""
         why = vi if self._exact else -1
+        running = self._running
         for ci in self.watch[vi]:
-            self.enqueue(ci, why)
+            if ci != running:
+                self.enqueue(ci, why)
 
     # -- domain updates ------------------------------------------------
 
@@ -255,13 +280,14 @@ class State:
             self._put(vi, TRUE, delta)
             return True
         store = self.store
-        fixed, rem = split(store, delta)
+        if self.mode == "bounds":
+            fixed, rem = store.cube(fixed_literals(store, delta)), TRUE
+        else:
+            fixed, rem = split(store, delta)
         stick = store.apply_and(self.stick[vi], fixed)
         if stick == FALSE:
             return False
-        if self.mode == "bounds":
-            rem = TRUE
-        elif self._bound is not None:
+        if self._bound is not None:
             free = self.bitsets[vi].difference(store.cube_literals(stick))
             rem = self._bound(store, rem, sorted(free))
         self._put(vi, stick, rem)
@@ -363,36 +389,64 @@ class State:
             head = (head << 32 | stick[vi]) << 32 | rem[vi]
         return head
 
-    def _propagator(self, ci, skip) -> bool:
-        """The propagator of constraint ci, without the memo."""
-        store = self.store
-        scope = self.scopes[ci]
+    def _specialise(self, ci, sticks) -> int:
+        """Cofactor constraint ci by the conjunction of sticks, retiring it
+        if that leaves TRUE.  Returns the result; FALSE, a wipeout, is not
+        stored."""
         phi = self.cons[ci]
-        if self.mode != "domain":
-            sticks = [self.stick[vi] for vi in scope if self.stick[vi] != TRUE]
-            if sticks:
-                phi = store.cofactor(phi, store.conjoin(sticks))
-                if phi == FALSE:
-                    return False
-                self._set(self.cons, ci, phi)
+        if sticks:
+            store = self.store
+            phi = store.cofactor(phi, store.conjoin(sticks))
+            if phi == FALSE:
+                return FALSE
+            self._set(self.cons, ci, phi)
         if phi == TRUE:
             self._set(self.active, ci, False)
-            return True
+        return phi
+
+    def _propagator(self, ci, skip) -> bool:
+        """The propagator of constraint ci, without the memo.  It leaves
+        ci where running it again would: see the module docstring."""
+        scope = self.scopes[ci]
+        stick = self.stick
+        if self.mode == "domain":
+            phi = self.cons[ci]
+        else:
+            phi = self._specialise(ci, [stick[vi] for vi in scope if stick[vi] != TRUE])
+            if phi == FALSE:
+                return False
+            if phi == TRUE:
+                return True
+            if self.mode == "bounds":
+                return self._bounds_run(ci, phi)
+        before = [stick[vi] for vi in scope]
         deltas = self._project(phi, scope, skip)
         if deltas is None:
             return False
         for vi in scope:
             if vi != skip and not self._absorb(vi, deltas[vi]):
                 return False
-        if (
-            self.active[ci]
-            and self._exact
-            and sum(not self._fixed(vi) for vi in scope) <= 1
-        ):
+        if self._exact and sum(not self._fixed(vi) for vi in scope) <= 1:
             # these two modes absorb the projections exactly, so once at
             # most one scope variable is unfixed the domains imply the
             # constraint and running it again cannot change them
             self._set(self.active, ci, False)
+        elif self.mode != "domain":
+            self._specialise(ci, [s for vi, s0 in zip(scope, before) if (s := stick[vi]) != s0])
+        return True
+
+    def _bounds_run(self, ci, phi) -> bool:
+        """A bounds run of ci, specialised to phi, neither TRUE nor FALSE:
+        phi's fixed literals extend the sticks (see the module docstring),
+        then phi is specialised to them as a second run would."""
+        store = self.store
+        lits = fixed_literals(store, phi)
+        if lits:
+            for vi in self.scopes[ci]:
+                own = {b: lits[b] for b in self.bitsets[vi].intersection(lits)}
+                if own:
+                    self._put(vi, store.apply_and(self.stick[vi], store.cube(own)), TRUE)
+            self._specialise(ci, [store.cube(lits)])
         return True
 
     def propagate(self, deadline: float | None = None) -> bool:
@@ -413,8 +467,10 @@ class State:
             ci = queue.popleft()
             skip = why[ci]
             why[ci] = None
-            # a run that fails or is cut short leaves ci short of its
-            # fixpoint, so it goes back on the queue
+            # a run leaves ci at its fixpoint, so it wakes no watcher of
+            # itself; one that fails or is cut short leaves ci short of
+            # it, so it goes back on the queue
+            self._running = ci
             try:
                 if active[ci] and not self._run(ci, skip):
                     self.enqueue(ci)
@@ -422,9 +478,6 @@ class State:
             except BaseException:
                 self.enqueue(ci)
                 raise
+            finally:
+                self._running = -1
         return True
-
-    def propagate_from_scratch(self) -> bool:
-        for ci in range(len(self.cons)):
-            self.enqueue(ci)
-        return self.propagate()

@@ -148,32 +148,29 @@ def _count(node, xs, l: int, u: int) -> int:
     """BDD true iff between l and u of the conditions xs hold.
 
     node(x, t, f) branches on one condition: t if it holds, f otherwise.
+    Built a row at a time from the last condition up, without recursion,
+    so no length of xs reaches the recursion limit: row[d] is the BDD
+    over xs[i:] when d of xs[:i] hold, and below is the row of xs[i + 1:].
     """
     xs = list(xs)
     n = len(xs)
-    memo = {}
-
-    def rec(i, l, u):
-        if u < 0:
-            return FALSE
-        rem = n - i
-        if l <= 0 and rem <= u:
-            return TRUE
-        if rem < l:
-            return FALSE
-        key = (i, l, u)
-        r = memo.get(key)
-        if r is None:
-            r = node(xs[i], rec(i + 1, l - 1, u - 1), rec(i + 1, l, u))
-            memo[key] = r
-        return r
-
-    try:
-        return rec(0, l, u)
-    finally:
-        # rec refers to itself, and node is bound to the store: clear the
-        # cycle so the store is freed once its owner drops it
-        rec = None
+    if u < 0 or n < l:
+        return FALSE
+    if l <= 0 and n <= u:
+        return TRUE
+    below = [TRUE if l <= d <= u else FALSE for d in range(min(n, u + 1) + 1)]
+    for i in reversed(range(n)):
+        left = n - i  # conditions from xs[i] on
+        row = []
+        for d in range(min(i, u + 1) + 1):
+            if d > u or d + left < l:
+                row.append(FALSE)
+            elif l <= d and d + left <= u:
+                row.append(TRUE)
+            else:
+                row.append(node(xs[i], below[d + 1], below[d]))
+        below = row
+    return below[0]
 
 
 def card(store, bits, l: int, u: int) -> int:

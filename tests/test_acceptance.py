@@ -301,7 +301,7 @@ def test_criterion_5_propagation_oracles():
 
         expected = oracle_domain(store, n, vs, cons)
         st = State(store, vs, cons, mode="domain")
-        ok = st.propagate_from_scratch()
+        ok = st.propagate()
         if (expected is not None) != ok:
             problems.append(f"case {case}: domain feasibility mismatch")
             continue
@@ -313,7 +313,7 @@ def test_criterion_5_propagation_oracles():
 
         expected_b = oracle_bounds(store, n, vs, cons)
         st = State(store, vs, cons, mode="bounds")
-        ok = st.propagate_from_scratch()
+        ok = st.propagate()
         if (expected_b is not None) != ok:
             problems.append(f"case {case}: bounds feasibility mismatch")
             continue

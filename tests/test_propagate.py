@@ -1,11 +1,13 @@
 import itertools
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
+from bddsets import propagate
 from bddsets.engine import FALSE, TRUE, NodeLimitExceeded, NodeStore
-from bddsets.propagate import MODES, State
+from bddsets.propagate import MODES, DeadlineExceeded, State
 from bddsets.search import snapshot
 from bddsets.sets import (
     ConstraintBdd,
@@ -50,7 +52,7 @@ def domain_bdd_of(store, var, sets):
 
 def make_state(store, vars_, cons, mode):
     st = State(store, vars_, cons, mode=mode)
-    ok = st.propagate_from_scratch()
+    ok = st.propagate()
     return st, ok
 
 
@@ -190,7 +192,9 @@ def test_fixpoint_reached(mode):
         if not ok:
             continue
         before = (list(st.stick), list(st.rem), list(st.cons))
-        assert st.propagate_from_scratch()
+        for ci in range(len(st.cons)):
+            st.enqueue(ci)
+        assert st.propagate()
         assert (list(st.stick), list(st.rem), list(st.cons)) == before
 
 
@@ -204,7 +208,7 @@ def test_unsat_detected_and_undo(store):
     ]
     st = State(store, [x, y], cons, mode="domain")
     m = st.mark()
-    assert not st.propagate_from_scratch()
+    assert not st.propagate()
     st.undo(m)
     assert st.stick == [TRUE, TRUE] and st.rem == [TRUE, TRUE]
 
@@ -219,7 +223,7 @@ def test_assign_propagate_undo_roundtrip(mode):
         ConstraintBdd(card_le(s, y, 2), (y,)),
     ]
     st = State(s, [x, y], cons, mode=mode)
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     snapshot = (list(st.stick), list(st.rem), list(st.cons), list(st.active))
     m = st.mark()
     assert st.assign(x, 3, True)
@@ -234,7 +238,7 @@ def test_assign_conflicting_bit(store):
     u = Universe(3)
     (x,) = alloc_set_vars(store, u, ["x"])
     st = State(store, [x], [ConstraintBdd(member(store, 2, x), (x,))], mode="split")
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     assert not st.assign(x, 2, False)
     assert st.assign(x, 2, True)  # agreeing assignment is a no-op
 
@@ -255,7 +259,7 @@ def test_card_mode_interval_extraction(store):
     u = Universe(3)
     x, y = alloc_set_vars(store, u, ["x", "y"])
     st = State(store, [x, y], [ConstraintBdd(lexlt(store, x, y), (x, y))], mode="card")
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     xi = st.var_index(x)
     assert st.stick[xi] == TRUE
     assert st.rem[xi] == card(store, sorted(x.bits), 0, 2)
@@ -284,7 +288,7 @@ def test_unary_retirement_by_mode():
         u = Universe(3)
         (x,) = alloc_set_vars(s, u, ["x"])
         st = State(s, [x], [ConstraintBdd(card_le(s, x, 1), (x,))], mode=mode)
-        assert st.propagate_from_scratch()
+        assert st.propagate()
         assert st.active[0] != retired
 
 
@@ -325,7 +329,7 @@ def test_propagation_cache_reused(store):
     x, y = alloc_set_vars(store, u, ["x", "y"])
     cons = [ConstraintBdd(subseteq(store, x, y), (x, y))]
     st = State(store, [x, y], cons, mode="domain")
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     m = st.mark()
     assert st.assign(x, 1, True) and st.propagate()
     st.undo(m)
@@ -362,7 +366,7 @@ def subseteq_state(mode):
     store = NodeStore()
     x, y = alloc_set_vars(store, Universe(3), ["x", "y"])
     st = State(store, [x, y], [ConstraintBdd(subseteq(store, x, y), (x, y))], mode=mode)
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     return st, x, y
 
 
@@ -405,7 +409,7 @@ def test_failed_state_projects_the_whole_scope(mode):
         ConstraintBdd(subseteq(store, x, y), (x, y)),
     ]
     st = State(store, [x, y, z], cons, mode=mode)
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     assert st.assign(x, 1, True) and not st.propagate()
     st.undo(st.mark())
     assert st.assign(y, 3, True) and not st.propagate()
@@ -435,6 +439,34 @@ def test_failed_state_stays_failed_until_an_undo(mode):
     assert st.fixed_bit_values(x) == {}
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_run_wakes_the_other_watchers_but_not_itself(mode):
+    # 1 in x wakes x subseteq y alone; its run puts 1 in y, which wakes
+    # y subseteq z, and leaves x subseteq y at its fixpoint, off the queue;
+    # a replay from the run memo does the same
+    store = NodeStore()
+    x, y, z = alloc_set_vars(store, Universe(3), ["x", "y", "z"])
+    cons = [
+        ConstraintBdd(subseteq(store, x, y), (x, y)),
+        ConstraintBdd(subseteq(store, y, z), (y, z)),
+    ]
+    st = State(store, [x, y, z], cons, mode=mode)
+    assert st.propagate()
+    woken = st.var_index(y) if mode in ("domain", "split") else -1
+    start = st.mark()
+    for hits in (0, 1):
+        assert st.assign(x, 1, True) and list(st.queue) == [0]
+        # a clock that passes the deadline after one queue entry
+        ticks = itertools.count()
+        with mock.patch.object(propagate, "time", SimpleNamespace(perf_counter=lambda: next(ticks))):
+            with pytest.raises(DeadlineExceeded):
+                st.propagate(1)
+        assert st.cache_hits == hits
+        assert list(st.queue) == [1] and st._why == [None, woken]
+        assert st.fixed_bit_values(y)[y.bit(1)] is True
+        st.undo(start)
+
+
 @pytest.mark.parametrize("mode", ["bounds", "card", "lex"])
 def test_stick_prunes_its_own_variable(mode):
     # these modes keep only an abstraction of a projection, so a run woken
@@ -444,7 +476,7 @@ def test_stick_prunes_its_own_variable(mode):
     (x,) = alloc_set_vars(store, Universe(3), ["x"])
     c = store.negate(store.apply_and(member(store, 1, x), member(store, 2, x)))
     st = State(store, [x], [ConstraintBdd(c, (x,))], mode=mode)
-    assert st.propagate_from_scratch() and st.active == [True]
+    assert st.propagate() and st.active == [True]
     assert st.assign(x, 1, True) and st.propagate()
     assert st.fixed_bit_values(x) == {x.bit(1): True, x.bit(2): False}
 
@@ -460,7 +492,7 @@ def test_partition_scenario(store):
         [ConstraintBdd(partition(store, [x, y, z]), (x, y, z))],
         mode="domain",
     )
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     assert st.assign(x, 1, True) and st.assign(x, 2, True) and st.propagate()
     for v in (y, z):
         f = st.fixed_bit_values(v)
@@ -484,11 +516,11 @@ def test_false_constraint_fails_its_first_run(store):
         st = State(store, [x, y], cons, mode=mode)
         start = st.mark()
         assert st.active == [True, True]
-        assert not st.propagate_from_scratch()
+        assert not st.propagate()
         # the failed run is memoised like any other
         st.undo(start)
         runs = st.runs
-        assert not st.propagate_from_scratch()
+        assert not st.propagate()
         assert st.runs == runs and st.cache_hits > 0, mode
 
 

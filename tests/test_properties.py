@@ -36,7 +36,12 @@ run woken by one variable alone skips the projection onto it, every
 active constraint off the queue must be at the fixpoint of a full
 projection after every propagate() that succeeds and every undo, also
 over walks that mark the trail with constraints queued and that run out
-of time mid-propagation.
+of time mid-propagation.  In every mode, over the same walks, running
+any active constraint off the queue again must change no stick,
+remainder, constraint or active flag, since no run queues its own
+constraint again; and a bounds run, which reads the fixed literals of
+the specialised constraint, must match projecting by brute force and
+splitting each projection.
 """
 
 import gc
@@ -48,7 +53,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddsets import propagate
-from bddsets.analysis import fixed_literals, stick_of
+from bddsets.analysis import fixed_literals, split, stick_of
 from bddsets.engine import FALSE, TRUE, NodeStore
 from bddsets.propagate import MODES, DeadlineExceeded, State
 from bddsets.sets import (
@@ -414,6 +419,68 @@ def test_propagate_reaches_the_fixpoint_of_full_runs(mode, steps):
     walk(s, steps, partial(check_fixpoint, s))
 
 
+def check_own_fixpoint(s):
+    """Every active constraint off the queue is where running it again
+    would leave it: a run, undone at once, succeeds and changes no
+    stick, remainder, constraint or active flag."""
+    for ci in range(len(s.cons)):
+        if s.active[ci] and s._why[ci] is None:
+            before = state_of(s)
+            m = s.mark()
+            assert s._propagator(ci, -1), ci
+            after = (list(s.stick), list(s.rem), list(s.cons), list(s.active))
+            s.undo(m)
+            assert after == before[:4], ci
+
+
+# no run queues its own constraint again, so each must leave it at its
+# fixpoint itself
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(steps=wake_steps)
+def test_a_run_leaves_its_constraint_at_its_fixpoint(mode, steps):
+    s = trail_problem(mode)
+    walk(s, steps, partial(check_own_fixpoint, s))
+
+
+@PROPERTY_SETTINGS
+@given(
+    universe=st.integers(min_value=1, max_value=3),
+    order=st.permutations(range(5)),
+    size=st.integers(min_value=1, max_value=5),
+    phi=st.lists(dnf, min_size=1, max_size=2),
+    sticks=st.lists(cube, min_size=5, max_size=5),
+)
+def test_bounds_run_matches_project_then_split(universe, order, size, phi, sticks):
+    # a bounds run reads the fixed literals of the specialised constraint
+    # into the sticks; it must give the sticks, constraint and active flag
+    # that projecting onto each variable by brute force, splitting each
+    # projection and specialising to the new sticks give
+    store = NodeStore()
+    vs = alloc_set_vars(store, Universe(universe), "abcde")
+    scope = tuple(order[:size])
+    scope_bits = [b for vi in scope for b in vs[vi].bits]
+    p = store.conjoin(function_of(store, scope_bits, f) for f in phi)
+    s = State(store, vs, [ConstraintBdd(p, tuple(vs[vi] for vi in scope))], mode="bounds")
+    for vi in scope:
+        bits = s.bits[vi]
+        s.stick[vi] = stick_of(store, {bits[i % len(bits)]: sign for i, sign in sticks[vi].items()})
+    spec = store.cofactor(p, store.conjoin([s.stick[vi] for vi in scope]))
+    if spec == FALSE:
+        assert not s._propagator(0, -1)
+        return
+    want = []
+    for vi in scope:
+        others = set(scope_bits) - s.bitsets[vi]
+        fixed, _ = split(store, store.exists(others, spec))
+        want.append(store.apply_and(s.stick[vi], fixed))
+    want_cons = store.cofactor(spec, store.conjoin(want))
+    assert s._propagator(0, -1)
+    assert [s.stick[vi] for vi in scope] == want
+    assert s.rem == [TRUE] * 5
+    assert (s.cons[0], s.active[0]) == (want_cons, want_cons != TRUE)
+
+
 def subset(store, a, b):
     return store.apply_and(a, store.negate(b)) == FALSE
 
@@ -445,7 +512,7 @@ def test_modes_are_ordered_by_strength(decisions):
     ]
     # the modes without a wipeout so far, all making the same decisions
     live = {m: State(store, [x, y, z], cons, mode=m) for m in MODES}
-    ok = {m: s.propagate_from_scratch() for m, s in live.items()}
+    ok = {m: s.propagate() for m, s in live.items()}
     for step in [None, *decisions]:
         if step is not None:
             vi, i, value = step

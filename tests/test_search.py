@@ -143,7 +143,7 @@ def test_first_fail_prefers_fewer_unfixed_bits(store):
         ConstraintBdd(not_member(store, 2, x), (x,)),
     ]
     st = State(store, [x, y], cons, mode="domain")
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     steps = []
 
     def on_step(state, step):
@@ -186,7 +186,7 @@ def test_zero_time_limit_runs_no_propagator():
 def test_timeout_in_root_propagation_leaves_state_consistent(monkeypatch):
     model = build_steiner(SteinerSpec(2, 3, 7))
     fresh = State(model.store, model.vars, model.constraints)
-    assert fresh.propagate_from_scratch()
+    assert fresh.propagate()
     # a clock that ticks once per reading: solve starts it at 0, and
     # propagate reads it before each queue entry, so the deadline of 10
     # ticks falls after at most 9 runs, long before the root fixpoint
@@ -214,12 +214,12 @@ def test_node_limit_in_search_undoes_to_the_root_fixpoint():
     # limits from just above the root fixpoint's table size: the ceiling is
     # hit in the first choices' propagation, at depth 1 as well as deeper
     model = build_steiner(SteinerSpec(2, 3, 7))
-    assert State(model.store, model.vars, model.constraints).propagate_from_scratch()
+    assert State(model.store, model.vars, model.constraints).propagate()
     at_root = model.store.node_count()
     for limit in range(at_root + 1, at_root + 60):
         model = build_steiner(SteinerSpec(2, 3, 7), node_limit=limit)
         st = State(model.store, model.vars, model.constraints)
-        assert st.propagate_from_scratch()
+        assert st.propagate()
         root = (list(st.stick), list(st.rem), list(st.cons), list(st.active))
         res = solve(st, model.strategy, branch_vars=model.branch_vars)
         assert res.status == "nodelimit" and res.nodes > 0
@@ -241,7 +241,7 @@ def test_search_leaves_state_restored(store):
     x, y = alloc_set_vars(store, u, ["x", "y"])
     cons = [ConstraintBdd(union_eq(store, y, x, x), (y, x))]
     st = State(store, [x, y], cons, mode="split")
-    assert st.propagate_from_scratch()
+    assert st.propagate()
     before = (list(st.stick), list(st.rem), list(st.cons), list(st.active))
     m = st.mark()
     res = solve(st, all_solutions=True)

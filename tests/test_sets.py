@@ -126,6 +126,21 @@ def test_card_count_and_size_bound(store):
         assert store.size(cb) <= (usz - l + 1) * 5 + 5 + 2
 
 
+def test_card_eq_over_a_thousand_elements():
+    # the counting states are built from an explicit stack, so no universe
+    # size reaches the recursion limit
+    store = NodeStore()
+    (v,) = alloc_set_vars(store, Universe(1000), ["v"])
+    k = 2
+    c = card_eq(store, v, k)
+    # one node per state (i, r), r of elements i+1..1000 still to take:
+    # k - i <= r <= k, and r <= 1000 - i
+    assert store.size(c) == sum(min(k, 1000 - i) - max(0, k - i) + 1 for i in range(1000))
+    for members in [set(), {1}, {1, 1000}, {5, 500, 999}, {999, 1000}]:
+        env = {b: i in members for i, b in enumerate(v.bits, 1)}
+        assert store.eval_node(c, env) == (len(members) == k)
+
+
 def test_subseteq_size_linear(store):
     sizes = {}
     for n in (8, 16, 32):
