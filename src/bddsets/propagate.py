@@ -280,10 +280,7 @@ class State:
             self._put(vi, TRUE, delta)
             return True
         store = self.store
-        if self.mode == "bounds":
-            fixed, rem = store.cube(fixed_literals(store, delta)), TRUE
-        else:
-            fixed, rem = split(store, delta)
+        fixed, rem = split(store, delta)
         stick = store.apply_and(self.stick[vi], fixed)
         if stick == FALSE:
             return False
@@ -419,7 +416,6 @@ class State:
                 return True
             if self.mode == "bounds":
                 return self._bounds_run(ci, phi)
-        before = [stick[vi] for vi in scope]
         deltas = self._project(phi, scope, skip)
         if deltas is None:
             return False
@@ -432,7 +428,7 @@ class State:
             # constraint and running it again cannot change them
             self._set(self.active, ci, False)
         elif self.mode != "domain":
-            self._specialise(ci, [s for vi, s0 in zip(scope, before) if (s := stick[vi]) != s0])
+            self._specialise(ci, [stick[vi] for vi in scope if stick[vi] != TRUE])
         return True
 
     def _bounds_run(self, ci, phi) -> bool:

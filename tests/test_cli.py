@@ -246,7 +246,7 @@ def test_report_row_solve(tmp_path):
         "fails": 47,
         "nodes": 94,
         "optimum": "",
-        "peak_nodes": 15137,
+        "peak_nodes": 15551,
     }
 
 
@@ -262,7 +262,7 @@ def test_report_row_optimize(tmp_path):
         "fails": 6,
         "nodes": "",
         "optimum": 2,
-        "peak_nodes": 988,
+        "peak_nodes": 1045,
     }
 
 

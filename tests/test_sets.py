@@ -127,8 +127,8 @@ def test_card_count_and_size_bound(store):
 
 
 def test_card_eq_over_a_thousand_elements():
-    # the counting states are built from an explicit stack, so no universe
-    # size reaches the recursion limit
+    # the counting states are built a level at a time, without recursion,
+    # so no universe size reaches the recursion limit
     store = NodeStore()
     (v,) = alloc_set_vars(store, Universe(1000), ["v"])
     k = 2
