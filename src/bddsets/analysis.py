@@ -7,6 +7,8 @@ weaker propagation regimes from full domain propagation.
 
 from __future__ import annotations
 
+from math import inf
+
 from .engine import FALSE, TRUE, NodeStore
 from .sets import card
 
@@ -25,43 +27,28 @@ def fixed_literals(store: NodeStore, a: int) -> dict[int, bool]:
     """Map each fixed variable of a to its forced truth value.
 
     A variable is fixed when it takes the same value in every satisfying
-    assignment.  Computed in one memoized pass: each node contributes the
-    literal-set valid on all 1-paths through it.
+    assignment.  Computed in one memoized pass over a's nodes, children
+    first: each node gets the literal set valid on all 1-paths through it.
     """
     if a == FALSE:
         raise EmptyDomainError("empty domain has no fixed-variable abstraction")
+    if a == TRUE:
+        return {}
     cache = store._cache
     var, hi, lo = store._var, store._hi, store._lo
-
-    ALL = True  # sentinel for terminal 1: "every literal holds vacuously"
-
-    def rec(n):
-        if n == 1:
-            return ALL
-        key = n << 2 | _SIDE_FIXED_LITS
-        r = cache.get(key)
-        if r is not None:
-            return r
+    tag = _SIDE_FIXED_LITS
+    for n in store._nodes(a, tag):
         v, t, f = var[n], hi[n], lo[n]
-        if t == FALSE:
-            below = rec(f)
-            r = frozenset([(v, False)]) if below is ALL else below | {(v, False)}
-        elif f == FALSE:
-            below = rec(t)
-            r = frozenset([(v, True)]) if below is ALL else below | {(v, True)}
+        if t == FALSE or f == FALSE:
+            # one live child: its literals and this node's
+            c, lit = (f, (v, False)) if t == FALSE else (t, (v, True))
+            r = frozenset([lit]) if c == TRUE else cache[c << 2 | tag] | {lit}
+        elif t == TRUE or f == TRUE:
+            r = frozenset()
         else:
-            rt, rf = rec(t), rec(f)
-            if rt is ALL or rf is ALL:
-                r = frozenset()
-            else:
-                r = rt & rf
-        cache[key] = r
-        return r
-
-    lits = rec(a)
-    if lits is ALL:
-        return {}
-    return dict(lits)
+            r = cache[t << 2 | tag] & cache[f << 2 | tag]
+        cache[n << 2 | tag] = r
+    return dict(cache[a << 2 | tag])
 
 
 def stick_of(store: NodeStore, literals: dict[int, bool]) -> int:
@@ -97,50 +84,26 @@ def split(store: NodeStore, a: int) -> tuple[int, int]:
 def count_cardinality(store: NodeStore, a: int, vs) -> tuple[int, int] | None:
     """Min and max number of true bits among vs over all models of a.
 
-    vs must be sorted in variable order and contain every variable of a.
-    Returns EMPTY_INTERVAL (None) when a is unsatisfiable.  Results are
-    memoized in the store's side table keyed on (node, remaining suffix
-    length) so repeated extraction during one solve stays cheap.
+    vs must contain every variable of a, in any order.  Returns
+    EMPTY_INTERVAL (None) when a is unsatisfiable.  Each node's fewest
+    true and fewest false literals on a 1-path below it are memoized in
+    the store's side table; they do not depend on vs, and the interval is
+    (fewest trues, len(vs) - fewest falses), since a variable a path does
+    not test may take either value.
     """
-    vs = tuple(vs)
+    if a == FALSE:
+        return EMPTY_INTERVAL
     cache = store._cache
-    var, hi, lo = store._var, store._hi, store._lo
-    n = len(vs)
-
-    def rec(d, i):
-        # i indexes the first still-relevant variable of vs
-        if d == FALSE:
-            return EMPTY_INTERVAL
-        rem = n - i
-        if d == TRUE:
-            return (0, rem)
-        key = (d << 32 | rem) << 2 | _SIDE_COUNT_CARD
-        r = cache.get(key, 0)
-        if r != 0:
-            return r
-        if rem == 0:
-            raise ValueError("variable of the BDD missing from vs")
-        v = var[d]
-        if vs[i] > v:
-            raise ValueError("vs not sorted or missing a BDD variable")
-        if v == vs[i]:
-            bt = rec(hi[d], i + 1)
-            be = rec(lo[d], i + 1)
-            if bt is EMPTY_INTERVAL:
-                r = be
-            elif be is EMPTY_INTERVAL:
-                r = (bt[0] + 1, bt[1] + 1)
-            else:
-                lt, ut = bt
-                le, ue = be
-                r = (min(lt + 1, le), max(ut + 1, ue))
-        else:
-            l, u = rec(d, i + 1)
-            r = (l, u + 1)
-        cache[key] = r
-        return r
-
-    return rec(a, 0)
+    hi, lo = store._hi, store._lo
+    tag = _SIDE_COUNT_CARD
+    ends = {FALSE: (inf, inf), TRUE: (0, 0)}  # FALSE has no 1-path
+    for n in store._nodes(a, tag):
+        t, f = hi[n], lo[n]
+        tt, tf = ends[t] if t <= TRUE else cache[t << 2 | tag]
+        ft, ff = ends[f] if f <= TRUE else cache[f << 2 | tag]
+        cache[n << 2 | tag] = min(tt + 1, ft), min(tf, ff + 1)
+    trues, falses = ends[a] if a == TRUE else cache[a << 2 | tag]
+    return trues, len(vs) - falses
 
 
 def card_bounds(store: NodeStore, a: int, vs) -> int:

@@ -29,10 +29,11 @@ Table layout.  Every hot table is a dict from one packed int to a handle:
 A dict holding only ints is never tracked by CPython's cycle collector,
 so these tables, millions of entries on long searches, cost the collector
 nothing; with tuple keys every full collection walked all of them.  The
-memo entries whose values are not handles (the fixed literals and
-cardinality intervals of :mod:`bddsets.analysis`) share one side table,
-``NodeStore._cache``, under keys tagged in their low two bits.  Handles
-and variables must stay below 2**32.
+memo entries whose values are not handles share one side table,
+``NodeStore._cache``, keyed ``n << 2 | tag`` for node n: tag 1 holds n's
+fixed literals and tag 2 the fewest true and the fewest false literals
+on a 1-path from n (both for :mod:`bddsets.analysis`).  Handles and
+variables must stay below 2**32.
 
 Long-running searches can reclaim dead nodes with
 :meth:`NodeStore.collect_garbage`, which sweeps everything unreachable
@@ -426,26 +427,33 @@ class NodeStore:
                 return None
         return lits
 
-    def _reachable(self, a: int) -> set[int]:
-        """The internal (non-terminal) nodes reachable from a."""
-        hi, lo = self._hi, self._lo
-        seen = set()
-        stack = [a]
+    def _nodes(self, a: int, tag: int = 0) -> list[int]:
+        """The internal nodes reachable from a, each after its children.
+
+        They are sorted by variable, last in the order first, and a
+        child's variable follows its parent's.  With a tag, a node that
+        has a side-table entry under that tag is neither listed nor
+        descended below, so a caller filling that entry for each listed
+        node finds every child's entry filled.  The walk keeps its own
+        stack, so no depth reaches the recursion limit.
+        """
+        hi, lo, cache = self._hi, self._lo, self._cache
+        seen, stack = set(), [a]
         while stack:
             x = stack.pop()
-            if x > 1 and x not in seen:
+            if x > 1 and x not in seen and not (tag and (x << 2 | tag) in cache):
                 seen.add(x)
                 stack.append(hi[x])
                 stack.append(lo[x])
-        return seen
+        return sorted(seen, key=self._var.__getitem__, reverse=True)
 
     def var_set(self, a: int) -> frozenset[int]:
         """Set of variables labelling internal nodes of a."""
-        return frozenset(map(self._var.__getitem__, self._reachable(a)))
+        return frozenset(map(self._var.__getitem__, self._nodes(a)))
 
     def size(self, a: int) -> int:
         """Number of internal (non-terminal) nodes reachable from a."""
-        return len(self._reachable(a))
+        return len(self._nodes(a))
 
     def sat_count(self, a: int, over: Iterable[int]) -> int:
         """Number of assignments to `over` satisfying a.
@@ -457,29 +465,18 @@ class NodeStore:
         pos = {v: i for i, v in enumerate(over)}
         n = len(over)
         var, hi, lo = self._var, self._hi, self._lo
-        memo: dict[int, int] = {}
-
-        def rec(a: int) -> tuple[int, int]:
-            # returns (count, level) where level is the index of a's top var
-            if a == 0:
-                return 0, n
-            if a == 1:
-                return 1, n
-            got = memo.get(a)
-            if got is None:
-                v = var[a]
-                if v not in pos:
-                    raise ValueError(f"variable v{v} of the BDD missing from `over`")
-                i = pos[v]
-                ct, lt = rec(hi[a])
-                ce, le = rec(lo[a])
-                c = ct * (1 << (lt - i - 1)) + ce * (1 << (le - i - 1))
-                got = (c, i)
-                memo[a] = got
-            return got
-
-        c, lvl = rec(a)
-        return c * (1 << lvl)
+        # node -> (models over the variables of `over` from its own on,
+        # the index of its variable)
+        got = {FALSE: (0, n), TRUE: (1, n)}
+        for x in self._nodes(a):
+            i = pos.get(var[x])
+            if i is None:
+                raise ValueError(f"variable v{var[x]} of the BDD missing from `over`")
+            ct, lt = got[hi[x]]
+            ce, le = got[lo[x]]
+            got[x] = (ct << (lt - i - 1)) + (ce << (le - i - 1)), i
+        c, i = got[a]
+        return c << i
 
     def eval_node(self, a: int, assignment: dict[int, bool]) -> bool:
         """Evaluate a under a truth assignment (test helper)."""

@@ -188,7 +188,8 @@ class State:
     # -- memory maintenance --------------------------------------------
 
     # node-table size above which search triggers a garbage collection,
-    # and memo-cache size above which the cache alone is dropped
+    # and memo size, the kernel's and the run memo's entries together,
+    # above which the memos alone are dropped
     gc_node_trigger = 1_500_000
     cache_clear_trigger = 6_000_000
 
@@ -216,7 +217,8 @@ class State:
             self._prop_cache.clear()
             store.collect_garbage(self.gc_roots())
             self._gc_trigger = max(self.gc_node_trigger, 2 * store.live_node_count())
-        elif store.cache_entries() > self.cache_clear_trigger:
+        elif store.cache_entries() + len(self._prop_cache) > self.cache_clear_trigger:
+            self._prop_cache.clear()
             store.clear_cache()
 
     # -- inspection ----------------------------------------------------

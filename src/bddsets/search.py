@@ -45,10 +45,6 @@ class SearchResult:
     seconds: float = 0.0
 
 
-class _Stop(Exception):
-    """Raised once search has found as many solutions as asked for."""
-
-
 def snapshot(state) -> dict:
     """Map every variable name to the frozenset of its true bit positions.
 
@@ -93,10 +89,6 @@ def solve(
 
     deadline = None if time_limit is None else t0 + time_limit
 
-    def deadline_check():
-        if deadline is not None and time.perf_counter() >= deadline:
-            raise DeadlineExceeded
-
     def pick():
         cands = [vi for vi in order if not state.is_determined(vi)]
         if not cands:
@@ -114,54 +106,53 @@ def solve(
         pos = max(unfixed) if strategy.value_order == "largest" else min(unfixed)
         return vi, state.bits[vi][pos]
 
-    def record():
-        res.solutions.append(snapshot(state))
-        if not all_solutions or (
-            max_solutions is not None and len(res.solutions) >= max_solutions
-        ):
-            raise _Stop
-
-    def dfs():
-        deadline_check()
-        choice = pick()
-        if choice is None:
-            record()
-            return
-        vi, bit = choice
-        values = (False, True) if strategy.branch == "not_in_first" else (True, False)
-        for value in values:
-            res.nodes += 1
-            m = state.mark()
-            state.maintain()
-            try:
-                if state.assign_bit(vi, bit, value) and state.propagate(deadline):
-                    if on_step is not None:
-                        on_step(state, res.nodes)
-                    dfs()
-                else:
-                    res.fails += 1
-            finally:
-                state.undo(m)
-
+    values = (False, True) if strategy.branch == "not_in_first" else (True, False)
+    # choice points, innermost last: (mark, variable, bit, values untried)
+    stack = []
     try:
         if state.propagate(deadline):
             if on_step is not None:
                 on_step(state, 0)
-            dfs()
-            res.status = "all" if all_solutions else "unsat"
-            if all_solutions and not res.solutions:
-                res.status = "unsat"
-    except _Stop:
-        res.status = "sat"
+            while True:
+                # the state is propagated and consistent: branch or record
+                if deadline is not None and time.perf_counter() >= deadline:
+                    raise DeadlineExceeded
+                choice = pick()
+                if choice is None:
+                    res.solutions.append(snapshot(state))
+                    if not all_solutions or (
+                        max_solutions is not None and len(res.solutions) >= max_solutions
+                    ):
+                        res.status = "sat"
+                        break
+                else:
+                    stack.append((state.mark(), *choice, iter(values)))
+                # try the next value of the innermost choice point left
+                while stack:
+                    m, vi, bit, untried = stack[-1]
+                    state.undo(m)
+                    value = next(untried, None)
+                    if value is None:
+                        stack.pop()
+                        continue
+                    res.nodes += 1
+                    state.maintain()
+                    if state.assign_bit(vi, bit, value) and state.propagate(deadline):
+                        if on_step is not None:
+                            on_step(state, res.nodes)
+                        break
+                    res.fails += 1
+                else:
+                    res.status = "all" if all_solutions and res.solutions else "unsat"
+                    break
     except DeadlineExceeded:
         res.status = "timeout"
     except NodeLimitExceeded:
         res.status = "nodelimit"
     finally:
-        # dfs is a self-recursive closure over the state: clearing its cell
-        # breaks the cycle, so the state is freed once the caller drops it
-        dfs = None
-    if all_solutions and res.status == "all" and res.solutions:
+        if stack:
+            state.undo(stack[0][0])
+    if res.status == "all":
         # exhaustive search backtracks past each solution by failing; the
         # final solution's backtrack merely exhausts the tree, so an
         # n-solution run adds n-1 failures to the count

@@ -1,13 +1,19 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from bddsets import analysis
 from bddsets.engine import FALSE, TRUE, NodeStore
+from bddsets.sets import Universe, alloc_set_vars, card_eq
 
 # verify the split size inequality on every split performed under test
 analysis.check_split_sizes = True
+
+# the deep-input tests show that no walk recurses per BDD level or search
+# decision, which holds only at CPython's default limit
+assert sys.getrecursionlimit() == 1000, "tests must run at the default recursion limit"
 
 
 @pytest.fixture
@@ -51,6 +57,17 @@ def models_of(store, a, var_list):
         if store.eval_node(a, dict(zip(var_list, bits))):
             out.append(bits)
     return out
+
+
+@pytest.fixture
+def deep_card_eq():
+    """(store, v, card_eq(v, 500)) over a 1,000-element universe: a BDD
+    1,000 levels deep, deeper than the default recursion limit.  Each
+    test gets a fresh store, so no memo filled by another test spares it
+    the walk."""
+    store = NodeStore()
+    (v,) = alloc_set_vars(store, Universe(1000), ["v"])
+    return store, v, card_eq(store, v, 500)
 
 
 @pytest.fixture

@@ -142,6 +142,14 @@ def test_count_cardinality_random_oracle(store, rng):
             assert got == (min(counts), max(counts))
 
 
+def test_analyses_of_a_bdd_deeper_than_the_recursion_limit(deep_card_eq):
+    store, v, c = deep_card_eq
+    assert count_cardinality(store, c, v.bits) == (500, 500)
+    # the count does not need vs sorted
+    assert count_cardinality(store, c, v.bits[::-1]) == (500, 500)
+    assert fixed_literals(store, c) == {}
+
+
 def test_card_bounds_fixpoint_and_empty(store):
     vs = store.new_vars(5)
     c = card(store, vs, 2, 3)

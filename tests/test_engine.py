@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import operator
 import random
 import weakref
@@ -172,6 +173,11 @@ def test_sat_count_complement_sum(store, rng):
         assert store.sat_count(a, vs) + store.sat_count(store.negate(a), vs) == 2 ** nvars
 
 
+def test_sat_count_of_a_bdd_deeper_than_the_recursion_limit(deep_card_eq):
+    store, v, c = deep_card_eq
+    assert store.sat_count(c, v.bits) == math.comb(1000, 500)
+
+
 def test_size_and_var_set_paper_examples(store):
     # stick for v3 & ~v4 & ~v5 & v6 & v7 over order v1..v9
     vs = store.new_vars(9)
@@ -194,8 +200,8 @@ def test_size_and_var_set_paper_examples(store):
 
 
 def test_size_and_var_set_of_a_long_cube(store):
-    # both walk the nodes with an explicit stack, so a cube deeper than
-    # the interpreter's recursion limit is fine
+    # both use the engine's node walk, which keeps its own stack, so a
+    # cube deeper than the interpreter's recursion limit is fine
     vs = store.new_vars(2000)
     cube = store.cube({v: v % 3 != 0 for v in vs})
     assert store.size(cube) == 2000

@@ -481,6 +481,14 @@ def test_stick_prunes_its_own_variable(mode):
     assert st.fixed_bit_values(x) == {x.bit(1): True, x.bit(2): False}
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_propagate_a_constraint_deeper_than_the_recursion_limit(deep_card_eq, mode):
+    store, v, c = deep_card_eq
+    state = State(store, [v], [ConstraintBdd(c, (v,))], mode=mode)
+    assert state.propagate()
+    assert state.fixed_bit_values(v) == {}
+
+
 def test_partition_scenario(store):
     # x, y, z partition {1,2,3}; placing 1 and 2 in x leaves 3 shared
     # between y and z, and excludes 1,2 from both

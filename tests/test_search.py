@@ -295,21 +295,22 @@ def test_optimize_incremental_unsat_at_start():
     assert best is None and status == "optimal"
 
 
+def small_problem(s):
+    u = Universe(4)
+    x, y = alloc_set_vars(s, u, ["x", "y"])
+    cons = [
+        ConstraintBdd(card_eq(s, x, 2), (x,)),
+        ConstraintBdd(subseteq(s, x, y), (x, y)),
+        ConstraintBdd(lexlt(s, x, y), (x, y)),
+    ]
+    return State(s, [x, y], cons, mode="domain")
+
+
 def test_search_with_aggressive_garbage_collection(store):
     # force a collection at nearly every node and check the search result
     # is unchanged from an uncollected run
-    def build(s):
-        u = Universe(4)
-        x, y = alloc_set_vars(s, u, ["x", "y"])
-        cons = [
-            ConstraintBdd(card_eq(s, x, 2), (x,)),
-            ConstraintBdd(subseteq(s, x, y), (x, y)),
-            ConstraintBdd(lexlt(s, x, y), (x, y)),
-        ]
-        return State(s, [x, y], cons, mode="domain")
-
-    plain = solve(build(NodeStore()), all_solutions=True)
-    gc_state = build(NodeStore())
+    plain = solve(small_problem(NodeStore()), all_solutions=True)
+    gc_state = small_problem(NodeStore())
     gc_state.gc_node_trigger = 1
     gc_state._gc_trigger = 1
     gc_state.cache_clear_trigger = 1
@@ -320,6 +321,38 @@ def test_search_with_aggressive_garbage_collection(store):
     assert {(s["x"], s["y"]) for s in collected.solutions} == {
         (s["x"], s["y"]) for s in plain.solutions
     }
+
+
+def test_run_memo_bounded_by_the_cache_trigger():
+    # maintain() counts the run memo against the trigger and drops it with
+    # the kernel memos, so a long search cannot grow it without limit
+    unbounded = small_problem(NodeStore())
+    plain = solve(unbounded, all_solutions=True)
+    assert len(unbounded._prop_cache) > 4
+    state = small_problem(NodeStore())
+    state.cache_clear_trigger = 4
+    sizes = []
+    maintain = state.maintain
+
+    def watched():
+        maintain()
+        sizes.append(len(state._prop_cache))
+
+    state.maintain = watched
+    bounded = solve(state, all_solutions=True)
+    assert sizes and max(sizes) <= 4
+    assert (bounded.status, bounded.fails, bounded.nodes) == (plain.status, plain.fails, plain.nodes)
+    assert bounded.solutions == plain.solutions
+
+
+def test_search_deeper_than_the_recursion_limit(store):
+    # not-in first with only upper cardinality bounds labels every bit
+    # of every variable out, one choice point per bit, and never fails
+    xs = alloc_set_vars(store, Universe(30), [f"x{i}" for i in range(40)])
+    cons = [ConstraintBdd(card_le(store, x, 2), (x,)) for x in xs]
+    res = solve(State(store, xs, cons))
+    assert (res.status, res.nodes, res.fails) == ("sat", 1200, 0)
+    assert not any(res.solutions[0].values())
 
 
 @pytest.mark.parametrize(
