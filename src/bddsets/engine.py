@@ -14,7 +14,11 @@ in the unique table directly and call the node allocator only on a miss.
 The quantifier cores fuse the disjunction of a quantified level: they
 call the OR core directly and skip the else-branch once the then-branch
 is ``TRUE`` (Brace, Rudell & Bryant, "Efficient Implementation of a BDD
-Package", DAC 1990).
+Package", DAC 1990).  No quantifier core is entered with a ``FALSE``
+operand: a child pair with a ``FALSE`` member is ``FALSE`` without a call,
+a quantified level disjoins with the OR core only when both halves are
+not ``FALSE``, and ``exists`` and ``and_exists`` return ``FALSE`` before
+calling the core.
 
 Table layout.  Every hot table is a dict from one packed int to a handle:
 
@@ -192,8 +196,7 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
         memo = {}
 
         def and_exists(a: int, b: int) -> int:
-            if a == FALSE or b == FALSE:
-                return FALSE
+            # neither operand is FALSE: callers return FALSE themselves
             if a == b:
                 a = TRUE
             elif a > b:
@@ -213,11 +216,15 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
                 ta, fa, tb, fb = hi[a], lo[a], b, b
             else:
                 ta, fa, tb, fb = a, a, hi[b], lo[b]
-            t = and_exists(ta, tb)
+            t = ta and tb and and_exists(ta, tb)
             if v in fs:
-                r = TRUE if t == TRUE else or_(t, and_exists(fa, fb))
+                if t == TRUE:
+                    r = TRUE
+                else:
+                    f = fa and fb and and_exists(fa, fb)
+                    r = or_(t, f) if t and f else t or f
             else:
-                f = and_exists(fa, fb)
+                f = fa and fb and and_exists(fa, fb)
                 r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
             memo[key] = r
             return r
@@ -391,11 +398,11 @@ class NodeStore:
 
     def exists(self, vs: Iterable[int], a: int) -> int:
         """Existentially quantify every variable of vs out of a."""
-        return self._and_exists(vs)(TRUE, a)
+        return a and self._and_exists(vs)(TRUE, a)
 
     def and_exists(self, vs: Iterable[int], a: int, b: int) -> int:
         """Compute exists(vs, a AND b) without building the full conjunction."""
-        return self._and_exists(vs)(a, b)
+        return a and b and self._and_exists(vs)(a, b)
 
     def cofactor(self, a: int, cube: int) -> int:
         """The restriction of a to the literals of cube.
@@ -478,27 +485,6 @@ class NodeStore:
         c, i = got[a]
         return c << i
 
-    def eval_node(self, a: int, assignment: dict[int, bool]) -> bool:
-        """Evaluate a under a truth assignment (test helper)."""
-        var, hi, lo = self._var, self._hi, self._lo
-        while a > 1:
-            a = hi[a] if assignment.get(var[a], False) else lo[a]
-        return a == 1
-
-    def audit(self) -> None:
-        """Verify reducedness and orderedness of every node in the store."""
-        freed = set(self._free)
-        for h in range(2, len(self._var)):
-            if h in freed:
-                continue
-            v, t, f = self._var[h], self._hi[h], self._lo[h]
-            if t == f:
-                raise AssertionError(f"redundant test at node {h}")
-            if self._var[t] <= v or self._var[f] <= v:
-                raise AssertionError(f"ordering violated at node {h}")
-            if self._unique.get((v << 32 | t) << 32 | f) != h:
-                raise AssertionError(f"unique table inconsistent at node {h}")
-
     # ------------------------------------------------------------------
     # bulk helpers
 
@@ -508,12 +494,4 @@ class NodeStore:
             r = self.apply_and(r, n)
             if r == FALSE:
                 return FALSE
-        return r
-
-    def disjoin(self, nodes: Iterable[int]) -> int:
-        r = FALSE
-        for n in nodes:
-            r = self.apply_or(r, n)
-            if r == TRUE:
-                return TRUE
         return r

@@ -116,14 +116,6 @@ def int_le(store: NodeStore, x: IntExpr, y: IntExpr) -> int:
     return store.negate(int_lt(store, y, x))
 
 
-def decode(store: NodeStore, x: IntExpr, env: dict[int, bool]) -> int:
-    """Integer value of x under a truth assignment (test helper)."""
-    val = 0
-    for bit in x:
-        val = (val << 1) | (1 if store.eval_node(bit, env) else 0)
-    return val
-
-
 # ----------------------------------------------------------------------
 # integer variables
 

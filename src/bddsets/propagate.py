@@ -48,6 +48,16 @@ int (the constraint after the run, its active bit and the scope domains,
 or -1 for a failure), so the cycle collector never tracks it.
 propagate() takes an optional deadline, checked between runs.
 
+Outside domain mode the run memo also holds each domain update of
+_absorb, keyed (delta << 32 | stick) << 32 | vi, in [2**64, 2**96), with
+value new stick << 32 | new remainder, or 0 for a wipeout.  For one store
+and mode the update is a pure function of those three: the free bits are
+vi's bits minus the stick's literals, and vi is in the key because delta
+= stick = TRUE names no variable.  A run key is 2**32 | constraint for an
+empty scope, or at least 2**96, so the kinds never collide, and sharing
+the table lets maintain() bound and drop update entries with the runs: a
+recycled handle never returns through a hit.
+
 Every active constraint that is not on the queue is at its fixpoint.
 Four rules keep this invariant: State() queues every active constraint;
 a run wakes the watchers of each variable it changes except its own
@@ -281,15 +291,25 @@ class State:
         if self.mode == "domain":
             self._put(vi, TRUE, delta)
             return True
-        store = self.store
-        fixed, rem = split(store, delta)
-        stick = store.apply_and(self.stick[vi], fixed)
-        if stick == FALSE:
+        # delta, vi's stick and vi determine the update; its key never meets
+        # a run key, so the run memo holds it (see the module docstring)
+        key = (delta << 32 | self.stick[vi]) << 32 | vi
+        new = self._prop_cache.get(key)
+        if new is None:
+            store = self.store
+            fixed, rem = split(store, delta)
+            stick = store.apply_and(self.stick[vi], fixed)
+            if stick == FALSE:
+                new = 0
+            else:
+                if self._bound is not None:
+                    free = self.bitsets[vi].difference(store.cube_literals(stick))
+                    rem = self._bound(store, rem, sorted(free))
+                new = stick << 32 | rem
+            self._prop_cache[key] = new
+        if not new:
             return False
-        if self._bound is not None:
-            free = self.bitsets[vi].difference(store.cube_literals(stick))
-            rem = self._bound(store, rem, sorted(free))
-        self._put(vi, stick, rem)
+        self._put(vi, new >> 32, new & 0xFFFFFFFF)
         return True
 
     def assign(self, v, element, member=True) -> bool:

@@ -21,11 +21,52 @@ def store():
     return NodeStore(debug_checks=True)
 
 
+def eval_node(store, a, assignment):
+    """Evaluate a under a truth assignment (variable -> bool, default
+    False)."""
+    var, hi, lo = store._var, store._hi, store._lo
+    while a > 1:
+        a = hi[a] if assignment.get(var[a], False) else lo[a]
+    return a == 1
+
+
+def decode(store, x, env):
+    """Integer value of the bit vector x (most significant bit first)
+    under a truth assignment."""
+    val = 0
+    for bit in x:
+        val = (val << 1) | (1 if eval_node(store, bit, env) else 0)
+    return val
+
+
+def disjoin(store, nodes):
+    """The disjunction of nodes."""
+    r = FALSE
+    for n in nodes:
+        r = store.apply_or(r, n)
+    return r
+
+
+def audit(store):
+    """Check that every live node of store is reduced, ordered and the
+    unique table's entry for its triple."""
+    var, hi, lo = store._var, store._hi, store._lo
+    freed = set(store._free)
+    for h in range(2, len(var)):
+        if h in freed:
+            continue
+        v, t, f = var[h], hi[h], lo[h]
+        assert t != f, f"redundant test at node {h}"
+        assert var[t] > v and var[f] > v, f"ordering violated at node {h}"
+        key = (v << 32 | t) << 32 | f
+        assert store._unique.get(key) == h, f"unique table inconsistent at node {h}"
+
+
 def truth_table(store, a, nvars):
     """Evaluate a on all assignments of variables 0..nvars-1."""
     rows = []
     for bits in itertools.product([False, True], repeat=nvars):
-        rows.append(store.eval_node(a, dict(enumerate(bits))))
+        rows.append(eval_node(store, a, dict(enumerate(bits))))
     return tuple(rows)
 
 
@@ -54,7 +95,7 @@ def models_of(store, a, var_list):
     """All satisfying assignments of a over var_list, as bit tuples."""
     out = []
     for bits in itertools.product([False, True], repeat=len(var_list)):
-        if store.eval_node(a, dict(zip(var_list, bits))):
+        if eval_node(store, a, dict(zip(var_list, bits))):
             out.append(bits)
     return out
 

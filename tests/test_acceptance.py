@@ -53,7 +53,7 @@ from bddsets.sets import (
     union_eq,
 )
 
-from conftest import apply_op
+from conftest import apply_op, audit, decode, eval_node
 
 FULL = os.environ.get("BDDSETS_ACCEPTANCE_FULL") == "1"
 
@@ -84,7 +84,7 @@ def holds(store, bdd, assignment):
     for var, val in assignment.items():
         for i, bit in enumerate(var.bits):
             env[bit] = (i + 1) in val
-    return store.eval_node(bdd, env)
+    return eval_node(store, bdd, env)
 
 
 # ----------------------------------------------------------------------
@@ -339,13 +339,6 @@ def test_criterion_5_propagation_oracles():
 # 6. arithmetic circuits against integer arithmetic
 
 
-def expr_value(store, expr, env):
-    v = 0
-    for bit in expr:
-        v = (v << 1) | (1 if store.eval_node(bit, env) else 0)
-    return v
-
-
 def test_criterion_6_arithmetic_exhaustive():
     problems = []
     for wx in range(1, 5):
@@ -363,17 +356,17 @@ def test_criterion_6_arithmetic_exhaustive():
             bits = list(x.bits) + list(y.bits)
             for assign in itertools.product([False, True], repeat=len(bits)):
                 env = dict(zip(bits, assign))
-                a = expr_value(store, xe, env)
-                b = expr_value(store, ye, env)
+                a = decode(store, xe, env)
+                b = decode(store, ye, env)
                 checks = [
-                    (expr_value(store, total, env), a + b, "plus"),
-                    (store.eval_node(lt, env), a < b, "int_lt"),
-                    (expr_value(store, mn, env), min(a, b), "min"),
-                    (expr_value(store, mx, env), max(a, b), "max"),
-                    (expr_value(store, mo, env), max(0, a - b), "monus"),
+                    (decode(store, total, env), a + b, "plus"),
+                    (eval_node(store, lt, env), a < b, "int_lt"),
+                    (decode(store, mn, env), min(a, b), "min"),
+                    (decode(store, mx, env), max(a, b), "max"),
+                    (decode(store, mo, env), max(0, a - b), "monus"),
                 ]
                 checks += [
-                    (expr_value(store, muls[c], env), a * c, f"mul_const {c}")
+                    (decode(store, muls[c], env), a * c, f"mul_const {c}")
                     for c in consts
                 ]
                 for got, want, what in checks:
@@ -391,7 +384,7 @@ def test_criterion_6_arithmetic_exhaustive():
         for assign in itertools.product([False, True], repeat=4):
             env = dict(zip(s.bits, assign))
             want = sum(w for w, on in zip(weights, assign) if on)
-            got = expr_value(store, ws, env)
+            got = decode(store, ws, env)
             if got != want:
                 problems.append(f"wsum {weights}: {got} != {want}")
     verdict(6, "arithmetic exhaustive up to width 4, constants to 15", problems)
@@ -464,7 +457,7 @@ def test_criterion_7_engine_properties():
             break
         for assign in itertools.product([False, True], repeat=nvars):
             env = dict(enumerate(assign))
-            if store.eval_node(direct, env) != eval_tree(tree, env):
+            if eval_node(store, direct, env) != eval_tree(tree, env):
                 problems.append(f"case {case}: truth table mismatch")
                 break
         if direct != FALSE:
@@ -473,7 +466,7 @@ def test_criterion_7_engine_properties():
                 problems.append(f"case {case}: split does not reconjoin")
         if problems:
             break
-    store.audit()
+    audit(store)
     # unit-weight sums and cardinality constraints share canonical BDDs
     cstore = NodeStore()
     u = Universe(5)

@@ -17,7 +17,7 @@ from bddsets.analysis import (
 from bddsets.engine import FALSE, TRUE
 from bddsets.sets import card
 
-from conftest import models_of, random_bdd
+from conftest import eval_node, models_of, random_bdd
 
 
 def fixed_vars(store, a):
@@ -190,8 +190,8 @@ def test_lex_bounds_card_two_of_five(store):
     up = lex_upper(store, c, vs)
     for bits in itertools.product([0, 1], repeat=5):
         vec = tuple(bits)
-        assert store.eval_node(low, dict(zip(vs, map(bool, bits)))) == (vec >= (0, 0, 0, 1, 1))
-        assert store.eval_node(up, dict(zip(vs, map(bool, bits)))) == (vec <= (1, 1, 0, 0, 0))
+        assert eval_node(store, low, dict(zip(vs, map(bool, bits)))) == (vec >= (0, 0, 0, 1, 1))
+        assert eval_node(store, up, dict(zip(vs, map(bool, bits)))) == (vec <= (1, 1, 0, 0, 0))
     both = lex_bounds(store, c, vs)
     assert both == store.apply_and(low, up)
     assert store.size(low) <= 5 and store.size(up) <= 5
@@ -210,8 +210,8 @@ def test_lex_bounds_random_oracle(store, rng):
         up = lex_upper(store, a, vs)
         for bits in itertools.product([False, True], repeat=nvars):
             env = dict(zip(vs, bits))
-            assert store.eval_node(low, env) == (tuple(bits) >= lo_vec)
-            assert store.eval_node(up, env) == (tuple(bits) <= hi_vec)
+            assert eval_node(store, low, env) == (tuple(bits) >= lo_vec)
+            assert eval_node(store, up, env) == (tuple(bits) <= hi_vec)
         # every model of a satisfies the bounds
         b = lex_bounds(store, a, vs)
         assert set(models) <= set(models_of(store, b, vs))

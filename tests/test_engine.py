@@ -10,7 +10,16 @@ import pytest
 from bddsets.analysis import fixed_literals, stick_of
 from bddsets.engine import FALSE, TRUE, NodeStore, NodeLimitExceeded, OrderingViolation
 
-from conftest import apply_op, exists_table, hot_tables, models_of, random_bdd, truth_table
+from conftest import (
+    apply_op,
+    audit,
+    eval_node,
+    exists_table,
+    hot_tables,
+    models_of,
+    random_bdd,
+    truth_table,
+)
 
 OPS = {
     "and": operator.and_,
@@ -40,7 +49,7 @@ def test_mk_node_two_variable_conjunction(store):
     assert store.size(a) == 2
     # truth table oracle over {v1, v2}
     for b1, b2 in itertools.product([False, True], repeat=2):
-        assert store.eval_node(a, {v1: b1, v2: b2}) == (b1 and b2)
+        assert eval_node(store, a, {v1: b1, v2: b2}) == (b1 and b2)
 
 
 def test_mk_node_ordering_violation_detected(store):
@@ -109,8 +118,8 @@ def test_exists_oracle_random(store, rng):
             for qbits in itertools.product([False, True], repeat=len(qs)):
                 env2 = dict(env)
                 env2.update(zip(sorted(qs), qbits))
-                expected = expected or store.eval_node(a, env2)
-            assert store.eval_node(r, env) == expected
+                expected = expected or eval_node(store, a, env2)
+            assert eval_node(store, r, env) == expected
 
 
 def test_and_exists_matches_two_step(store, rng):
@@ -229,7 +238,7 @@ def test_store_audit(store, rng):
     store.new_vars(nvars)
     for _ in range(50):
         random_bdd(store, nvars, rng)
-    store.audit()
+    audit(store)
 
 
 def test_node_limit(store):
@@ -264,7 +273,7 @@ def test_collect_garbage_preserves_roots(store, rng):
     freed = store.collect_garbage(keep)
     assert freed > 0
     assert store.live_node_count() == before - freed
-    store.audit()
+    audit(store)
     # surviving roots still denote the same functions
     assert [truth_table(store, a, nvars) for a in keep] == tables
     # rebuilding a root reuses its canonical handle
@@ -284,7 +293,7 @@ def test_collect_garbage_recycles_slots(store, rng):
     for _ in range(20):
         random_bdd(store, nvars, rng)
     assert store.node_count() == table_size
-    store.audit()
+    audit(store)
 
 
 def test_collect_garbage_then_equivalence(store, rng):
@@ -332,14 +341,14 @@ def test_cores_survive_garbage_collection(store, rng):
     for _ in range(100):
         random_bdd(store, nvars, rng)  # garbage
     assert store.collect_garbage([a, b, conj, proj]) > 0
-    store.audit()
+    audit(store)
     # recomputed after the cache is gone, the kept results come back as
     # the same canonical handles
     assert store.apply_and(b, a) == conj
     assert store.and_exists(qs, a, b) == proj
     assert store.exists(qs, conj) == proj
     _check_ops(store, rng, nvars, qs)
-    store.audit()
+    audit(store)
 
 
 def test_cores_survive_maintain_cache_clear(store, rng):
@@ -363,7 +372,7 @@ def test_cores_survive_maintain_cache_clear(store, rng):
     assert store.apply_and(a, b) == conj
     assert store.and_exists(qs, a, b) == proj
     _check_ops(store, rng, nvars, qs)
-    store.audit()
+    audit(store)
 
 
 def test_clear_cache_drops_quantifier_cores(store, rng):
@@ -395,7 +404,7 @@ def test_clear_cache_drops_quantifier_cores(store, rng):
     assert store._quantifier_cores is cores and not cores and store.cache_entries() == 0
     assert store.and_exists(qs, a, b) == proj
     _check_ops(store, rng, nvars, qs)
-    store.audit()
+    audit(store)
 
 
 def test_hot_tables_stay_untracked_by_the_cycle_collector(rng):
@@ -550,7 +559,7 @@ def test_node_limit_inside_and_exists():
     tables = [truth_table(limited, x, 10) for x in (a, b)]
     with pytest.raises(NodeLimitExceeded):
         limited.and_exists(qs, a, b)
-    limited.audit()
+    audit(limited)
     assert [truth_table(limited, x, 10) for x in (a, b)] == tables
 
 

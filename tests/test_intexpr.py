@@ -8,7 +8,6 @@ from bddsets.intexpr import (
     alloc_multiset_vars,
     bits_needed,
     const_expr,
-    decode,
     int_eq,
     int_le,
     int_lt,
@@ -30,6 +29,8 @@ from bddsets.intexpr import (
     wsum,
 )
 from bddsets.sets import Universe, alloc_set_vars, card
+
+from conftest import decode, eval_node
 
 
 def envs(bits):
@@ -95,7 +96,7 @@ def test_mul_bit(store):
     b = store.literal(store.new_var())
     prod = mul_bit(store, x.expr, b)
     for env in envs(x.bits + (store._var[b],)):
-        expect = decode(store, x.expr, env) if store.eval_node(b, env) else 0
+        expect = decode(store, x.expr, env) if eval_node(store, b, env) else 0
         assert decode(store, prod, env) == expect
 
 
@@ -121,9 +122,9 @@ def test_comparisons_exhaustive(store):
     for env in envs(x.bits + y.bits):
         a = decode(store, x.expr, env)
         b = decode(store, y.expr, env)
-        assert store.eval_node(eq, env) == (a == b)
-        assert store.eval_node(lt, env) == (a < b)
-        assert store.eval_node(le, env) == (a <= b)
+        assert eval_node(store, eq, env) == (a == b)
+        assert eval_node(store, lt, env) == (a < b)
+        assert eval_node(store, le, env) == (a <= b)
 
 
 def test_comparison_with_constant(store):
@@ -195,8 +196,8 @@ def test_multiset_ops_exhaustive():
     for env in envs(m.bits + n.bits):
         a = multiset_value(store, m, env)
         b = multiset_value(store, n, env)
-        assert store.eval_node(eq, env) == (a == b)
-        assert store.eval_node(sub, env) == all(x <= y for x, y in zip(a, b))
+        assert eval_node(store, eq, env) == (a == b)
+        assert eval_node(store, sub, env) == all(x <= y for x, y in zip(a, b))
         assert tuple(decode(store, e, env) for e in union) == tuple(
             x + y for x, y in zip(a, b)
         )
@@ -214,6 +215,6 @@ def test_ms_card(store):
     total = ms_card(store, m)
     guard = store.conjoin(bounds)
     for env in envs(m.bits):
-        if not store.eval_node(guard, env):
+        if not eval_node(store, guard, env):
             continue
         assert decode(store, total, env) == sum(multiset_value(store, m, env))

@@ -25,6 +25,8 @@ from bddsets.sets import (
     union_eq,
 )
 
+from conftest import eval_node
+
 
 def subsets(n):
     elems = list(range(1, n + 1))
@@ -38,7 +40,7 @@ def holds(store, bdd, assignment):
     for var, val in assignment.items():
         for i, bit in enumerate(var.bits):
             env[bit] = (i + 1) in val
-    return store.eval_node(bdd, env)
+    return eval_node(store, bdd, env)
 
 
 def domain_bdd_of(store, var, sets):

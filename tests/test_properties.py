@@ -41,7 +41,10 @@ any active constraint off the queue again must change no stick,
 remainder, constraint or active flag, since no run queues its own
 constraint again; and a bounds run, which reads the fixed literals of
 the specialised constraint, must match projecting by brute force and
-splitting each projection.
+splitting each projection.  Outside domain mode, where the run memo also
+holds each domain update, the same walk on two states over one store, one
+of which empties its run memo before every step, must pass through the
+same domains, constraints, active flags and queues.
 """
 
 import gc
@@ -68,7 +71,7 @@ from bddsets.sets import (
     union_eq,
 )
 
-from conftest import exists_table, hot_tables, truth_table
+from conftest import audit, disjoin, exists_table, hot_tables, truth_table
 
 NVARS = 4
 
@@ -135,7 +138,7 @@ def run_program(store, steps):
             drop = {len(pool) - 1 - i % len(pool) for i in args[0]} - set(range(len(base)))
             pool[:] = [p for i, p in enumerate(pool) if i not in drop]
             store.collect_garbage([h for h, _ in pool])
-            store.audit()
+            audit(store)
             assert all(truth_table(store, h, NVARS) == t for h, t in pool)
             live = {h for h, _ in pool}
             # swept handles get recycled, so forget the ops that used them
@@ -170,7 +173,7 @@ def run_program(store, steps):
         check(store, pool, h, want)
         pool.append((h, want))
         done.append((operands, h, call, want))
-    store.audit()
+    audit(store)
     assert not any(map(gc.is_tracked, hot_tables(store)))
 
 
@@ -196,8 +199,8 @@ def test_cofactor_is_and_exists_of_the_cube_under_gc(debug_checks, steps):
     run_program(NodeStore(debug_checks=debug_checks), steps)
 
 
-def trail_problem(mode):
-    store = NodeStore()
+def trail_model(store):
+    """The variables and constraints of the trail problem."""
     x, y, z = alloc_set_vars(store, Universe(4), ["x", "y", "z"])
     cons = [
         ConstraintBdd(subseteq(store, x, y), (x, y)),
@@ -206,7 +209,12 @@ def trail_problem(mode):
         ConstraintBdd(lexlt(store, x, z), (x, z)),
         ConstraintBdd(inter_card_atmost(store, x, z, 1), (x, z)),
     ]
-    return State(store, [x, y, z], cons, mode=mode)
+    return [x, y, z], cons
+
+
+def trail_problem(mode):
+    store = NodeStore()
+    return State(store, *trail_model(store), mode=mode)
 
 
 def queue_of(st):
@@ -271,9 +279,9 @@ dnf = st.lists(cube, min_size=1, max_size=5)
 
 
 def function_of(store, bits, cubes):
-    return store.disjoin(
-        stick_of(store, {bits[i % len(bits)]: sign for i, sign in c.items()})
-        for c in cubes
+    return disjoin(
+        store,
+        (stick_of(store, {bits[i % len(bits)]: sign for i, sign in c.items()}) for c in cubes),
     )
 
 
@@ -479,6 +487,44 @@ def test_bounds_run_matches_project_then_split(universe, order, size, phi, stick
     assert [s.stick[vi] for vi in scope] == want
     assert s.rem == [TRUE] * 5
     assert (s.cons[0], s.active[0]) == (want_cons, want_cons != TRUE)
+
+
+def record(s, states, forget):
+    """Append s's state to states, then, if forget, empty its run memo."""
+    states.append(state_of(s))
+    if forget:
+        s._prop_cache.clear()
+
+
+def at_most(limit, run):
+    """run, failing once it is called more than limit times: a wrong memo
+    hit can widen a domain, and then propagation may never end."""
+    calls = iter(range(limit))
+
+    def counted(ci, skip):
+        assert next(calls, None) is not None, "propagation does not end"
+        return run(ci, skip)
+
+    return counted
+
+
+# outside domain mode the run memo also holds each domain update
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "domain"])
+@PROPERTY_SETTINGS
+@given(steps=wake_steps)
+def test_memoised_domain_updates_are_exact(mode, steps):
+    # the same walk on two states over one store, one of which empties its
+    # run memo before every step, must pass through the same states
+    store = NodeStore()
+    variables, cons = trail_model(store)
+    seen = {}
+    for forget in (False, True):
+        s = State(store, variables, cons, mode=mode)
+        # no walk here needs 60 runs
+        s._run = at_most(1000, s._run)
+        seen[forget] = []
+        walk(s, steps, partial(record, s, seen[forget], forget))
+    assert seen[False] == seen[True]
 
 
 def subset(store, a, b):

@@ -31,6 +31,8 @@ from bddsets.sets import (
     union_eq,
 )
 
+from conftest import eval_node
+
 
 def subsets(n):
     elems = list(range(1, n + 1))
@@ -126,7 +128,7 @@ def test_all_solutions_match_brute_force_every_mode():
                     env[bit] = (i + 1) in a
                 for i, bit in enumerate(y.bits):
                     env[bit] = (i + 1) in b
-                if s.eval_node(conj, env):
+                if eval_node(s, conj, env):
                     expected.add((a, b))
             st = State(s, [x, y], cons, mode=mode)
             res = solve(st, all_solutions=True)
@@ -295,7 +297,7 @@ def test_optimize_incremental_unsat_at_start():
     assert best is None and status == "optimal"
 
 
-def small_problem(s):
+def small_problem(s, mode="domain"):
     u = Universe(4)
     x, y = alloc_set_vars(s, u, ["x", "y"])
     cons = [
@@ -303,19 +305,28 @@ def small_problem(s):
         ConstraintBdd(subseteq(s, x, y), (x, y)),
         ConstraintBdd(lexlt(s, x, y), (x, y)),
     ]
-    return State(s, [x, y], cons, mode="domain")
+    return State(s, [x, y], cons, mode=mode)
 
 
-def test_search_with_aggressive_garbage_collection(store):
-    # force a collection at nearly every node and check the search result
-    # is unchanged from an uncollected run
-    plain = solve(small_problem(NodeStore()), all_solutions=True)
-    gc_state = small_problem(NodeStore())
-    gc_state.gc_node_trigger = 1
-    gc_state._gc_trigger = 1
-    gc_state.cache_clear_trigger = 1
+@pytest.mark.parametrize("mode", MODES)
+def test_search_with_aggressive_garbage_collection(mode):
+    # force a collection at every node and check the search result is
+    # unchanged from an uncollected run; outside domain mode the run memo
+    # also holds domain updates, which a collection must drop
+    plain = solve(small_problem(NodeStore(), mode), all_solutions=True)
+    gc_state = small_problem(NodeStore(), mode)
+    maintain = gc_state.maintain
+    entries = []
+
+    def collect_every_time():
+        # maintain() raises its trigger after each collection
+        gc_state._gc_trigger = 0
+        maintain()
+        entries.append(gc_state.store.cache_entries() + len(gc_state._prop_cache))
+
+    gc_state.maintain = collect_every_time
     collected = solve(gc_state, all_solutions=True)
-    assert gc_state.store._free or gc_state.store.cache_entries() == 0
+    assert gc_state.store._free and entries == [0] * collected.nodes
     assert collected.status == plain.status
     assert collected.fails == plain.fails
     assert {(s["x"], s["y"]) for s in collected.solutions} == {

@@ -27,6 +27,8 @@ from bddsets.sets import (
     union_eq,
 )
 
+from conftest import disjoin, eval_node
+
 
 def subsets(n):
     elems = list(range(1, n + 1))
@@ -41,7 +43,7 @@ def holds(store, bdd, universe_n, assignment):
     for var, val in assignment.items():
         for i, bit in enumerate(var.bits):
             env[bit] = (i + 1) in val
-    return store.eval_node(bdd, env)
+    return eval_node(store, bdd, env)
 
 
 def enumerate_solutions(store, bdd, vars_):
@@ -138,7 +140,7 @@ def test_card_eq_over_a_thousand_elements():
     assert store.size(c) == sum(min(k, 1000 - i) - max(0, k - i) + 1 for i in range(1000))
     for members in [set(), {1}, {1, 1000}, {5, 500, 999}, {999, 1000}]:
         env = {b: i in members for i, b in enumerate(v.bits, 1)}
-        assert store.eval_node(c, env) == (len(members) == k)
+        assert eval_node(store, c, env) == (len(members) == k)
 
 
 def test_subseteq_size_linear(store):
@@ -275,7 +277,7 @@ def test_example_3_5_projection(store):
     v, w = alloc_set_vars(store, u, ["v", "w"])
 
     def domain_bdd(var, sets):
-        return store.disjoin([eq_const(store, var, s) for s in sets])
+        return disjoin(store, [eq_const(store, var, s) for s in sets])
 
     dv = domain_bdd(v, [{1}, {1, 3}, {2, 3}])
     dw = domain_bdd(w, [{2}, {1, 2}, {1, 3}])
