@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from .engine import NodeLimitExceeded
 from .instances import InstanceError, parse_instance, build_from_instance
-from .models import build_hamming
+from .models import STRATEGIES, build_hamming
 from .propagate import MODES, State
 from .search import Strategy, optimize_incremental, solve
 
@@ -137,8 +137,9 @@ def run(args, out=sys.stdout) -> int:
 
     emitter = _Emitter(args.fmt, out)
     build_start = time.perf_counter()
+    strategy = _resolve_strategy(STRATEGIES[parsed["problem"]], args)
 
-    def report(strategy, status, solutions, fails, nodes, optimum, peak_nodes, elapsed):
+    def report(status, solutions, fails, nodes, optimum, peak_nodes, elapsed):
         emitter.row(
             "report",
             REPORT_COLUMNS,
@@ -166,7 +167,6 @@ def run(args, out=sys.stdout) -> int:
             print("bddsets: --target optimize is only supported for hamming", file=sys.stderr)
             return 2
         spec = parsed["spec"]
-        strategy_holder = {}
         # the largest node table of the models built so far (0 when the
         # time runs out before any is), and the latest model's store; only
         # that one is kept, so the earlier ones are freed as search moves on
@@ -188,21 +188,15 @@ def run(args, out=sys.stdout) -> int:
                 peak_nodes = max(peak_nodes, node_limit)
                 raise
             latest.append(model.store)
-            strategy_holder.setdefault("s", _resolve_strategy(model.strategy, args))
             st = State(model.store, model.vars, model.constraints, mode=args.mode)
-            return st, strategy_holder["s"], model.branch_vars
+            return st, strategy, model.branch_vars
 
         t0 = time.perf_counter()
         best, status, fails = optimize_incremental(build, time_limit=time_limit)
         fold_in_latest()
+        found = best is not None
         return report(
-            strategy_holder.get("s") or _resolve_strategy(Strategy(), args),
-            status,
-            1 if best is not None else 0,
-            fails,
-            "",
-            best[0] if best is not None else "",
-            peak_nodes,
+            status, int(found), fails, "", best[0] if found else "", peak_nodes,
             time.perf_counter() - t0,
         )
 
@@ -211,10 +205,8 @@ def run(args, out=sys.stdout) -> int:
     except NodeLimitExceeded:
         # the model itself blew the node ceiling before any search ran
         return report(
-            _resolve_strategy(Strategy(), args), "nodelimit", 0, 0, 0, "",
-            node_limit, time.perf_counter() - build_start,
+            "nodelimit", 0, 0, 0, "", node_limit, time.perf_counter() - build_start
         )
-    strategy = _resolve_strategy(model.strategy, args)
     state = State(model.store, model.vars, model.constraints, mode=args.mode)
 
     t0 = time.perf_counter()
@@ -238,13 +230,18 @@ def run(args, out=sys.stdout) -> int:
         on_step=on_step,
     )
     return report(
-        strategy, res.status, len(res.solutions), res.fails, res.nodes, "",
+        res.status, len(res.solutions), res.fails, res.nodes, "",
         model.store.node_count(), time.perf_counter() - t0,
     )
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.max_solutions is not None and args.target != "all":
+        parser.error("--max-solutions needs --target all")
+    if args.trace and args.target == "optimize":
+        parser.error("--trace does not apply to --target optimize")
     return run(args)
 
 

@@ -26,6 +26,7 @@ Comments start with '#'; blank lines are ignored.
 from __future__ import annotations
 
 from .models import (
+    BACP_VARIANTS,
     BacpSpec,
     GolfersSpec,
     HammingSpec,
@@ -123,6 +124,8 @@ def parse_instance(text: str) -> dict:
                 loads[cid - 1] = load
                 prereqs.extend((cid, p) for p in ps)
             variant = pairs.pop("variant", "hybrid_dual").lower()
+            if variant not in BACP_VARIANTS:
+                raise InstanceError(f"unknown variant {variant!r}")
             spec = BacpSpec(
                 loads=tuple(loads),
                 periods=take_int("periods"),
@@ -156,8 +159,5 @@ def build_from_instance(parsed: dict, node_limit=None) -> Model:
     if problem == "hamming":
         return build_hamming(spec, node_limit=node_limit)
     if problem == "bacp":
-        try:
-            return build_bacp(spec, variant=parsed["variant"], node_limit=node_limit)
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from exc
+        return build_bacp(spec, variant=parsed["variant"], node_limit=node_limit)
     raise InstanceError(f"unknown problem type {problem!r}")

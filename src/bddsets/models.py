@@ -43,6 +43,16 @@ from .sets import (
 )
 
 
+# each family's labeling; element 1 is the heaviest bit, so "largest" tries the
+# smallest element first, and steiner's "smallest" is the classic "largest value"
+STRATEGIES = {
+    "steiner": Strategy(var_order="seq", value_order="smallest", branch="not_in_first"),
+    "golfers": Strategy(var_order="seq", value_order="largest", branch="in_first"),
+    "hamming": Strategy(var_order="seq", value_order="largest", branch="not_in_first"),
+    "bacp": Strategy(var_order="seq", value_order="largest", branch="in_first"),
+}
+
+
 @dataclass
 class Model:
     store: NodeStore
@@ -118,10 +128,7 @@ def build_steiner(spec: SteinerSpec, merged=True, node_limit=None) -> Model:
         vars=allvars,
         constraints=cons,
         branch_vars=svars,
-        # under this package's bit significance (element 1 heaviest), the
-        # smallest-index element plays the role of the classic "largest
-        # value" heuristic for block models; excluded-first branching
-        strategy=Strategy(var_order="seq", value_order="smallest", branch="not_in_first"),
+        strategy=STRATEGIES["steiner"],
         meta={"spec": spec, "merged": merged, "set_vars": svars},
     )
 
@@ -205,9 +212,7 @@ def build_golfers(spec: GolfersSpec, node_limit=None) -> Model:
         vars=list(vs),
         constraints=cons,
         branch_vars=list(vs),
-        # smallest-element-in-set-first labeling, expressed in this
-        # package's bit significance (element 1 heaviest)
-        strategy=Strategy(var_order="seq", value_order="largest", branch="in_first"),
+        strategy=STRATEGIES["golfers"],
         meta={"spec": spec, "set_vars": list(vs), "weeks": week},
     )
 
@@ -288,7 +293,7 @@ def build_hamming(spec: HammingSpec, node_limit=None) -> Model:
         vars=list(vs),
         constraints=cons,
         branch_vars=list(vs),
-        strategy=Strategy(var_order="seq", value_order="largest", branch="not_in_first"),
+        strategy=STRATEGIES["hamming"],
         meta={"spec": spec, "set_vars": list(vs)},
     )
 
@@ -320,6 +325,10 @@ class BacpSpec:
     prereqs: tuple  # pairs (course, prerequisite), 1-based
 
     def __post_init__(self):
+        if self.periods < 1:
+            raise ValueError(f"need at least one period, got {self.periods}")
+        if min(self.load_min, self.courses_min, *self.loads) < 0:
+            raise ValueError("loads, load_min and courses_min must be non-negative")
         if self.load_min > self.load_max:
             raise ValueError(f"load_min {self.load_min} exceeds load_max {self.load_max}")
         if self.courses_min > self.courses_max:
@@ -502,7 +511,7 @@ def build_bacp(spec: BacpSpec, variant="hybrid_dual", node_limit=None) -> Model:
         vars=allvars,
         constraints=cons,
         branch_vars=branch,
-        strategy=Strategy(var_order="seq", value_order="largest", branch="in_first"),
+        strategy=STRATEGIES["bacp"],
         meta={
             "spec": spec,
             "variant": variant,

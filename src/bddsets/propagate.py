@@ -31,21 +31,21 @@ variable's bits, so this is exact early quantification over a
 conjunctively partitioned product (Burch, Clarke & Long, 1991), and the
 product of a half's remainders is never built.
 
-A constraint is retired (marked inactive) once running it again cannot
-change a domain: when specialising it leaves TRUE, and, in domain and
-split modes, which absorb projections exactly, once at most one variable
-of its scope is unfixed, so that the domains imply it.  Bounds, card and
-lex keep only an abstraction of the projection, so there a constraint
-with non-TRUE specialisation stays active.
+A constraint c is retired, replaced by TRUE, once running it again
+cannot change a domain: when specialising it leaves TRUE, and, in domain
+and split modes, which absorb projections exactly, once at most one scope
+variable is unfixed.  The domains D then imply c, so c /\\ D' = D' for
+every D' <= D, and undo restores c.  Bounds, card and lex abstract the
+projection, so there only specialising to TRUE retires c.
 
 All propagators are monotone, hence the fixpoint reached is independent
-of queue order.  Every change to a domain, a constraint or its active
-flag is trailed as (array, index, old value) so search can backtrack, and
-whole propagator runs are memoised so revisiting a search node is nearly
-free.  The memo maps one packed int (the constraint handle, then each
-scope variable's stick and remainder, 32 bits per handle) to one packed
-int (the constraint after the run, its active bit and the scope domains,
-or -1 for a failure), so the cycle collector never tracks it.
+of queue order.  Every change to a domain or a constraint is trailed as
+(array, index, old handle) so search can backtrack, and whole propagator
+runs are memoised so revisiting a search node is nearly free.  The memo
+maps one packed int (the constraint handle, then each scope variable's
+stick and remainder, 32 bits per handle) to one packed int (the
+constraint after the run and the scope domains, or -1 for a failure), so
+the cycle collector never tracks it.
 propagate() takes an optional deadline, checked between runs.
 
 Outside domain mode the run memo also holds each domain update of
@@ -58,8 +58,8 @@ empty scope, or at least 2**96, so the kinds never collide, and sharing
 the table lets maintain() bound and drop update entries with the runs: a
 recycled handle never returns through a hit.
 
-Every active constraint that is not on the queue is at its fixpoint.
-Four rules keep this invariant: State() queues every active constraint;
+Every constraint that is neither TRUE nor on the queue is at its
+fixpoint.  Four rules keep this invariant: State() queues every such one;
 a run wakes the watchers of each variable it changes except its own
 constraint, which it leaves at its fixpoint; a run that fails or is cut
 short by an exception puts its constraint back on the queue, so a failed
@@ -76,8 +76,8 @@ same P_x and absorb the same domains.  It would only specialise the
 constraint to the sticks the first run extended, retiring it on TRUE, so
 the run does that itself and ends where a second one would (Schulte &
 Stuckey, "Efficient Constraint Propagation Engines", TOPLAS 2008, on
-idempotent propagators).  A constraint the run retires is never run
-again and is left as it is.
+idempotent propagators).  A constraint the run retires is TRUE, so it
+is never queued again.
 
 A queued constraint records the variable that woke it, or -1 when more
 than one did or it was queued otherwise.  Projection is idempotent, so
@@ -126,7 +126,6 @@ class State:
         self.rem = [TRUE] * n
         self.cons = []
         self.scopes = []
-        self.active = []
         self.watch = [[] for _ in range(n)]
         for c in constraints:
             bdd = c.bdd
@@ -144,15 +143,14 @@ class State:
             ci = len(self.cons)
             self.cons.append(bdd)
             self.scopes.append(scope)
-            self.active.append(bdd != TRUE)
             for vi in scope:
                 self.watch[vi].append(ci)
         self.trail = []
-        # every active constraint starts on the queue, none yet run
-        self.queue = deque(ci for ci, a in enumerate(self.active) if a)
+        # every constraint but TRUE starts on the queue, none yet run
+        self.queue = deque(ci for ci, c in enumerate(self.cons) if c != TRUE)
         # per constraint: None off the queue, else what woke it (a
         # variable, or -1 for several); see the module docstring
-        self._why = [-1 if a else None for a in self.active]
+        self._why = [None if c == TRUE else -1 for c in self.cons]
         self._exact = mode in ("domain", "split")
         # the constraint propagate() is running, which _wake leaves alone
         self._running = -1
@@ -172,8 +170,7 @@ class State:
         return len(self.trail), [(ci, why[ci]) for ci in self.queue]
 
     def undo(self, mark):
-        """Restore the domains, constraints, active flags and queue that
-        mark() saw."""
+        """Restore the domains, constraints and queue that mark() saw."""
         size, queued = mark
         trail, queue, why = self.trail, self.queue, self._why
         while len(trail) > size:
@@ -208,8 +205,7 @@ class State:
         roots = set(self.stick)
         roots.update(self.rem)
         roots.update(self.cons)
-        active = self.active
-        roots.update(old for array, _, old in self.trail if array is not active)
+        roots.update(old for _, _, old in self.trail)
         for v in self.vars:
             expr = getattr(v, "expr", None)
             if expr:
@@ -258,7 +254,7 @@ class State:
 
     def enqueue(self, ci, vi=-1):
         """Queue constraint ci, woken by variable vi alone (-1: by more)."""
-        if self.active[ci]:
+        if self.cons[ci] != TRUE:
             why = self._why[ci]
             if why is None:
                 self._why[ci] = vi
@@ -384,9 +380,7 @@ class State:
             self.cache_hits += 1
             if cached < 0:
                 return False
-            top = cached >> 64 * len(scope)
-            self._set(self.cons, ci, top >> 1)
-            self._set(self.active, ci, bool(top & 1))
+            self._set(self.cons, ci, cached >> 64 * len(scope))
             for vi in scope:
                 self._put(vi, cached >> 32 & 0xFFFFFFFF, cached & 0xFFFFFFFF)
                 cached >>= 64
@@ -396,8 +390,7 @@ class State:
             self._prop_cache[key] = -1
             return False
         # packed in reverse, so the replay above unpacks in scope order
-        head = self.cons[ci] << 1 | self.active[ci]
-        self._prop_cache[key] = self._pack(head, reversed(scope))
+        self._prop_cache[key] = self._pack(self.cons[ci], reversed(scope))
         return True
 
     def _pack(self, head, scope):
@@ -409,9 +402,8 @@ class State:
         return head
 
     def _specialise(self, ci, sticks) -> int:
-        """Cofactor constraint ci by the conjunction of sticks, retiring it
-        if that leaves TRUE.  Returns the result; FALSE, a wipeout, is not
-        stored."""
+        """Cofactor constraint ci by the conjunction of sticks; TRUE
+        retires it.  Returns the result; FALSE, a wipeout, is not stored."""
         phi = self.cons[ci]
         if sticks:
             store = self.store
@@ -419,8 +411,6 @@ class State:
             if phi == FALSE:
                 return FALSE
             self._set(self.cons, ci, phi)
-        if phi == TRUE:
-            self._set(self.active, ci, False)
         return phi
 
     def _propagator(self, ci, skip) -> bool:
@@ -445,10 +435,9 @@ class State:
             if vi != skip and not self._absorb(vi, deltas[vi]):
                 return False
         if self._exact and sum(not self._fixed(vi) for vi in scope) <= 1:
-            # these two modes absorb the projections exactly, so once at
-            # most one scope variable is unfixed the domains imply the
-            # constraint and running it again cannot change them
-            self._set(self.active, ci, False)
+            # the domains imply the constraint: TRUE retires it exactly
+            # (see the module docstring)
+            self._set(self.cons, ci, TRUE)
         elif self.mode != "domain":
             self._specialise(ci, [stick[vi] for vi in scope if stick[vi] != TRUE])
         return True
@@ -478,7 +467,7 @@ class State:
         constraint back on the queue, so after a failure propagate()
         fails again until an undo.
         """
-        queue, why, active = self.queue, self._why, self.active
+        queue, why = self.queue, self._why
         while queue:
             if deadline is not None and time.perf_counter() >= deadline:
                 raise DeadlineExceeded
@@ -487,10 +476,13 @@ class State:
             why[ci] = None
             # a run leaves ci at its fixpoint, so it wakes no watcher of
             # itself; one that fails or is cut short leaves ci short of
-            # it, so it goes back on the queue
+            # it, so it goes back on the queue.  A queued ci is never
+            # TRUE: State() and enqueue() queue no TRUE constraint, undo()
+            # restores the queue with the constraints, and only ci's own
+            # run or replay changes cons[ci], while _wake skips it
             self._running = ci
             try:
-                if active[ci] and not self._run(ci, skip):
+                if not self._run(ci, skip):
                     self.enqueue(ci)
                     return False
             except BaseException:

@@ -70,7 +70,7 @@ def solve(
     on_step=None,
 ) -> SearchResult:
     """Run depth-first search from the current state, after propagating
-    its queue (every active constraint, in a new State).
+    its queue (every constraint but TRUE, in a new State).
 
     branch_vars restricts the labeling order to a subset of variables (the
     rest must become determined by propagation, or they are labeled bit by

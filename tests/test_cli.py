@@ -145,6 +145,27 @@ def test_load_min_above_load_max_exits_2(tmp_path, capsys):
     assert "load_min 9 exceeds load_max 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        pytest.param("variant = hybrid_dual", "variant = nope", "unknown variant 'nope'",
+                     id="unknown-variant"),
+        pytest.param("periods = 2", "periods = 0", "need at least one period, got 0",
+                     id="no-period"),
+        pytest.param("load_min = 1", "load_min = -1", "must be non-negative",
+                     id="negative-load-min"),
+        pytest.param("course 2 2", "course 2 -2", "must be non-negative",
+                     id="negative-course-load"),
+    ],
+)
+def test_malformed_bacp_exits_2(tmp_path, capsys, old, new, message):
+    path = write(tmp_path, BACP.replace(old, new))
+    code, out = run_cli([path])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("bddsets: ") and message in err
+
+
 def test_constraint_false_when_built_reports_unsat(tmp_path):
     # hybrid_dual's I3 (the period loads sum to the course loads, 7) is
     # FALSE when built: each period load is a 2-bit integer, so two sum to
@@ -196,6 +217,27 @@ def test_limit_below_its_range_exits_2(capsys, flag, below, lowest):
     assert getattr(args, flag[2:].replace("-", "_")) == lowest
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        pytest.param(["--max-solutions", "2"], "--max-solutions needs --target all",
+                     id="max-solutions-first"),
+        pytest.param(["--max-solutions", "2", "--target", "optimize"],
+                     "--max-solutions needs --target all", id="max-solutions-optimize"),
+        pytest.param(["--trace", "--target", "optimize"],
+                     "--trace does not apply to --target optimize", id="trace-optimize"),
+    ],
+)
+def test_flag_the_target_would_ignore_exits_2(tmp_path, capsys, flags, message):
+    path = write(tmp_path, HAMMING)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([path] + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+
 # Every report row pinned field for field, except its time.  The three
 # paths that write one (a model build that hits the node ceiling, an
 # ordinary solve, and --target optimize) must agree on the layout.
@@ -219,17 +261,25 @@ ROW_BASE = {
 }
 
 
-def test_report_row_node_limit_during_build(tmp_path):
-    path = write(tmp_path, GOLFERS)
-    assert report_fields([path, "--node-limit", "2000"]) == {
+# the row names the family's own strategy, though no model was built
+@pytest.mark.parametrize(
+    "text,limit,strategy",
+    [
+        pytest.param(GOLFERS, 2000, {"problem": "golfers", "branch": "in_first"}, id="golfers"),
+        pytest.param(STEINER, 5, {"problem": "steiner", "value_order": "smallest"}, id="steiner"),
+    ],
+)
+def test_report_row_node_limit_during_build(tmp_path, text, limit, strategy):
+    path = write(tmp_path, text)
+    assert report_fields([path, "--node-limit", str(limit)]) == {
         **ROW_BASE,
-        "problem": "golfers",
+        **strategy,
         "status": "×",
         "solutions": 0,
         "fails": 0,
         "nodes": 0,
         "optimum": "",
-        "peak_nodes": 2000,
+        "peak_nodes": limit,
     }
 
 

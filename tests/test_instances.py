@@ -126,14 +126,29 @@ BACP_HEADER = (
             BACP.replace("courses_min = 1", "courses_min = 4"),
             "courses_min 4 exceeds courses_max 3", id="bacp-courses-min-above-max",
         ),
+        pytest.param(
+            BACP.replace("variant = dual", "variant = nope"), "unknown variant 'nope'",
+            id="bacp-unknown-variant",
+        ),
+        pytest.param(
+            BACP.replace("periods = 2", "periods = 0"), "at least one period",
+            id="bacp-no-period",
+        ),
+        pytest.param(
+            BACP.replace("load_min = 1", "load_min = -1"), "non-negative",
+            id="bacp-negative-load-min",
+        ),
+        pytest.param(
+            BACP.replace("courses_min = 1", "courses_min = -1"), "non-negative",
+            id="bacp-negative-courses-min",
+        ),
+        pytest.param(
+            BACP.replace("course 3 1", "course 3 -1"), "non-negative",
+            id="bacp-negative-course-load",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(InstanceError, match=fragment):
         parse_instance(text)
 
-
-def test_build_rejects_bad_variant():
-    parsed = parse_instance(BACP.replace("variant = dual", "variant = nope"))
-    with pytest.raises(InstanceError, match="variant"):
-        build_from_instance(parsed)

@@ -226,14 +226,14 @@ def test_assign_propagate_undo_roundtrip(mode):
     ]
     st = State(s, [x, y], cons, mode=mode)
     assert st.propagate()
-    snapshot = (list(st.stick), list(st.rem), list(st.cons), list(st.active))
+    snapshot = (list(st.stick), list(st.rem), list(st.cons))
     m = st.mark()
     assert st.assign(x, 3, True)
     assert st.propagate()
     # 3 in x forces 3 in y in every mode
     assert st.fixed_bit_values(y).get(y.bit(3)) is True
     st.undo(m)
-    assert (list(st.stick), list(st.rem), list(st.cons), list(st.active)) == snapshot
+    assert (list(st.stick), list(st.rem), list(st.cons)) == snapshot
 
 
 def test_assign_conflicting_bit(store):
@@ -291,7 +291,7 @@ def test_unary_retirement_by_mode():
         (x,) = alloc_set_vars(s, u, ["x"])
         st = State(s, [x], [ConstraintBdd(card_le(s, x, 1), (x,))], mode=mode)
         assert st.propagate()
-        assert st.active[0] != retired
+        assert (st.cons[0] == TRUE) == retired
 
 
 def test_entailed_constraint_retired_everywhere():
@@ -306,13 +306,13 @@ def test_entailed_constraint_retired_everywhere():
         st, ok = make_state(s, [x, y], cons, mode)
         assert ok
         assert st.domain_bdd(y) == TRUE
-        assert st.active[1] is False
+        assert st.cons[1] == TRUE
 
 
 def test_binary_retirement_by_mode():
     # with x = {1, 2} fixed, |x & y| <= 1 leaves "at most one of 1, 2 in y":
     # domain and split keep that exactly and retire the constraint; bounds,
-    # card and lex cannot, so it stays active there
+    # card and lex cannot, so there it is not retired
     for mode in MODES:
         s = NodeStore()
         x, y = alloc_set_vars(s, Universe(3), ["x", "y"])
@@ -323,7 +323,7 @@ def test_binary_retirement_by_mode():
         st, ok = make_state(s, [x, y], cons, mode)
         assert ok
         assert not st.is_determined(y)
-        assert st.active[1] is (mode not in ("domain", "split")), mode
+        assert (st.cons[1] == TRUE) == (mode in ("domain", "split")), mode
 
 
 def test_propagation_cache_reused(store):
@@ -478,7 +478,7 @@ def test_stick_prunes_its_own_variable(mode):
     (x,) = alloc_set_vars(store, Universe(3), ["x"])
     c = store.negate(store.apply_and(member(store, 1, x), member(store, 2, x)))
     st = State(store, [x], [ConstraintBdd(c, (x,))], mode=mode)
-    assert st.propagate() and st.active == [True]
+    assert st.propagate() and st.cons[0] != TRUE
     assert st.assign(x, 1, True) and st.propagate()
     assert st.fixed_bit_values(x) == {x.bit(1): True, x.bit(2): False}
 
@@ -525,7 +525,7 @@ def test_false_constraint_fails_its_first_run(store):
     for mode in MODES:
         st = State(store, [x, y], cons, mode=mode)
         start = st.mark()
-        assert st.active == [True, True]
+        assert TRUE not in st.cons
         assert not st.propagate()
         # the failed run is memoised like any other
         st.undo(start)

@@ -19,9 +19,9 @@ each level marks the trail, makes random branch decisions with
 propagation, and may collect garbage from the state's roots.  A level may
 take its mark with the constraints its first decision woke still queued,
 and a level after a failed one takes it in the failed state.  Undoing the
-levels in reverse must restore every domain, constraint, active flag and
-the queue, each entry with what woke it, exactly, with every restored
-handle still a live node.
+levels in reverse must restore every domain, constraint and the queue,
+each entry with what woke it, exactly, with every restored handle still a
+live node.
 
 The propagation properties check State._project against quantifying the
 conjunction of a random constraint and random domains by brute force;
@@ -33,18 +33,18 @@ and lex domains, which lie within the bounds domains.  In every mode,
 State.is_determined's cube walk must agree with counting the fixed
 literals of the conjoined domain.  In domain and split modes, where a
 run woken by one variable alone skips the projection onto it, every
-active constraint off the queue must be at the fixpoint of a full
+constraint but TRUE off the queue must be at the fixpoint of a full
 projection after every propagate() that succeeds and every undo, also
 over walks that mark the trail with constraints queued and that run out
 of time mid-propagation.  In every mode, over the same walks, running
-any active constraint off the queue again must change no stick,
-remainder, constraint or active flag, since no run queues its own
+any constraint but TRUE off the queue again must change no stick,
+remainder or constraint, since no run queues its own
 constraint again; and a bounds run, which reads the fixed literals of
 the specialised constraint, must match projecting by brute force and
 splitting each projection.  Outside domain mode, where the run memo also
 holds each domain update, the same walk on two states over one store, one
 of which empties its run memo before every step, must pass through the
-same domains, constraints, active flags and queues.
+same domains, constraints and queues.
 """
 
 import gc
@@ -225,7 +225,7 @@ def queue_of(st):
 
 
 def state_of(st):
-    return (list(st.stick), list(st.rem), list(st.cons), list(st.active), queue_of(st))
+    return (list(st.stick), list(st.rem), list(st.cons), queue_of(st))
 
 
 def assert_live(store, handles):
@@ -251,7 +251,7 @@ level = st.tuples(st.lists(decision, min_size=1, max_size=6), st.booleans(), st.
 def test_undo_restores_state_in_every_mode(mode, levels):
     s = trail_problem(mode)
     assert s.propagate()
-    arrays = (s.stick, s.rem, s.cons, s.active)
+    arrays = (s.stick, s.rem, s.cons)
     saved = []
     for decisions, collect, late in levels:
         if late:
@@ -262,7 +262,7 @@ def test_undo_restores_state_in_every_mode(mode, levels):
             if not (s.assign_bit(vi, s.bits[vi][i], value) and s.propagate()):
                 break
         assert all(any(a is b for b in arrays) for a, _, _ in s.trail)
-        trailed = {old for a, _, old in s.trail if a is not s.active}
+        trailed = {old for _, _, old in s.trail}
         assert trailed <= s.gc_roots()
         if collect:
             s.store.collect_garbage(s.gc_roots())
@@ -319,7 +319,7 @@ def check_retired(s, original):
     projecting it onto each of them again changes no domain."""
     store = s.store
     for ci, scope in enumerate(s.scopes):
-        if s.active[ci]:
+        if s.cons[ci] != TRUE:
             continue
         doms = [s.domain_bdd(vi) for vi in scope]
         conj = store.conjoin(doms)
@@ -408,12 +408,12 @@ def test_retired_constraints_are_implied_by_the_domains(mode, steps):
 
 
 def check_fixpoint(s):
-    """Every active constraint off the queue is at its fixpoint: a full
+    """Every constraint but TRUE off the queue is at its fixpoint: a full
     projection onto its whole scope gives back every remainder, so
     running it again changes no domain."""
     store = s.store
     for ci, scope in enumerate(s.scopes):
-        if s.active[ci] and s._why[ci] is None:
+        if s.cons[ci] != TRUE and s._why[ci] is None:
             phi = store.cofactor(s.cons[ci], store.conjoin([s.stick[vi] for vi in scope]))
             assert s._project(phi, scope) == {vi: s.rem[vi] for vi in scope}, ci
 
@@ -428,17 +428,17 @@ def test_propagate_reaches_the_fixpoint_of_full_runs(mode, steps):
 
 
 def check_own_fixpoint(s):
-    """Every active constraint off the queue is where running it again
+    """Every constraint but TRUE off the queue is where running it again
     would leave it: a run, undone at once, succeeds and changes no
-    stick, remainder, constraint or active flag."""
+    stick, remainder or constraint."""
     for ci in range(len(s.cons)):
-        if s.active[ci] and s._why[ci] is None:
+        if s.cons[ci] != TRUE and s._why[ci] is None:
             before = state_of(s)
             m = s.mark()
             assert s._propagator(ci, -1), ci
-            after = (list(s.stick), list(s.rem), list(s.cons), list(s.active))
+            after = (list(s.stick), list(s.rem), list(s.cons))
             s.undo(m)
-            assert after == before[:4], ci
+            assert after == before[:3], ci
 
 
 # no run queues its own constraint again, so each must leave it at its
@@ -461,7 +461,7 @@ def test_a_run_leaves_its_constraint_at_its_fixpoint(mode, steps):
 )
 def test_bounds_run_matches_project_then_split(universe, order, size, phi, sticks):
     # a bounds run reads the fixed literals of the specialised constraint
-    # into the sticks; it must give the sticks, constraint and active flag
+    # into the sticks; it must give the sticks and constraint
     # that projecting onto each variable by brute force, splitting each
     # projection and specialising to the new sticks give
     store = NodeStore()
@@ -486,7 +486,7 @@ def test_bounds_run_matches_project_then_split(universe, order, size, phi, stick
     assert s._propagator(0, -1)
     assert [s.stick[vi] for vi in scope] == want
     assert s.rem == [TRUE] * 5
-    assert (s.cons[0], s.active[0]) == (want_cons, want_cons != TRUE)
+    assert s.cons[0] == want_cons
 
 
 def record(s, states, forget):

@@ -201,15 +201,15 @@ def test_timeout_in_root_propagation_leaves_state_consistent(monkeypatch):
     res = solve(st, model.strategy, branch_vars=model.branch_vars, time_limit=10)
     assert res.status == "timeout" and res.nodes == 0
     assert 0 < st.runs < fresh.runs
-    fixpoint = (fresh.stick, fresh.rem, fresh.cons, fresh.active)
+    fixpoint = (fresh.stick, fresh.rem, fresh.cons)
     # no run was cut short, so the queue resumes where it stopped ...
     assert st.propagate()
-    assert (st.stick, st.rem, st.cons, st.active) == fixpoint
+    assert (st.stick, st.rem, st.cons) == fixpoint
     # ... and undo restores the state propagation started from, queue
     # included
     st.undo(start)
     assert st.propagate()
-    assert (st.stick, st.rem, st.cons, st.active) == fixpoint
+    assert (st.stick, st.rem, st.cons) == fixpoint
 
 
 def test_node_limit_in_search_undoes_to_the_root_fixpoint():
@@ -222,10 +222,10 @@ def test_node_limit_in_search_undoes_to_the_root_fixpoint():
         model = build_steiner(SteinerSpec(2, 3, 7), node_limit=limit)
         st = State(model.store, model.vars, model.constraints)
         assert st.propagate()
-        root = (list(st.stick), list(st.rem), list(st.cons), list(st.active))
+        root = (list(st.stick), list(st.rem), list(st.cons))
         res = solve(st, model.strategy, branch_vars=model.branch_vars)
         assert res.status == "nodelimit" and res.nodes > 0
-        assert (st.stick, st.rem, st.cons, st.active) == root, limit
+        assert (st.stick, st.rem, st.cons) == root, limit
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -244,12 +244,12 @@ def test_search_leaves_state_restored(store):
     cons = [ConstraintBdd(union_eq(store, y, x, x), (y, x))]
     st = State(store, [x, y], cons, mode="split")
     assert st.propagate()
-    before = (list(st.stick), list(st.rem), list(st.cons), list(st.active))
+    before = (list(st.stick), list(st.rem), list(st.cons))
     m = st.mark()
     res = solve(st, all_solutions=True)
     st.undo(m)
     assert len(res.solutions) == 8  # y = x, any x
-    assert (list(st.stick), list(st.rem), list(st.cons), list(st.active)) == before
+    assert (list(st.stick), list(st.rem), list(st.cons)) == before
 
 
 def test_branch_vars_channel_determines_rest(store):
