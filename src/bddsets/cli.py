@@ -126,7 +126,7 @@ def _domain_stats(state):
     return bits, nodes
 
 
-def run(args, out=sys.stdout) -> int:
+def run(args, out=None) -> int:
     node_limit, time_limit = args.node_limit, args.time_limit
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
@@ -135,7 +135,7 @@ def run(args, out=sys.stdout) -> int:
         print(f"bddsets: {exc}", file=sys.stderr)
         return 2
 
-    emitter = _Emitter(args.fmt, out)
+    emitter = _Emitter(args.fmt, sys.stdout if out is None else out)
     build_start = time.perf_counter()
     strategy = _resolve_strategy(STRATEGIES[parsed["problem"]], args)
 

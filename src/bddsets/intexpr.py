@@ -128,14 +128,19 @@ def alloc_int_vars(store: NodeStore, names, width: int) -> list["IntVarExpr"]:
 
 
 class IntVarExpr:
-    """Integer variable plus its literal bit expression."""
+    """Integer variable plus its literal bit expression, which is rebuilt
+    on each access, so no garbage collection invalidates it."""
 
-    __slots__ = ("name", "bits", "expr")
+    __slots__ = ("name", "bits", "_store")
 
     def __init__(self, store: NodeStore, name: str, bits: tuple[int, ...]):
         self.name = name
         self.bits = bits
-        self.expr = tuple(store.literal(b) for b in bits)
+        self._store = store
+
+    @property
+    def expr(self) -> IntExpr:
+        return tuple(self._store.literal(b) for b in self.bits)
 
     def __repr__(self):
         return f"IntVarExpr({self.name})"

@@ -10,6 +10,7 @@ the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from math import comb
 
 from .engine import NodeStore
@@ -336,26 +337,15 @@ class BacpSpec:
                 f"courses_min {self.courses_min} exceeds courses_max {self.courses_max}"
             )
         m = len(self.loads)
+        graph = TopologicalSorter()
         for c, p in self.prereqs:
             if not (1 <= c <= m and 1 <= p <= m) or c == p:
                 raise ValueError(f"bad prerequisite pair ({c}, {p})")
-        # reject cyclic prerequisite graphs
-        out = {i: [] for i in range(1, m + 1)}
-        indeg = {i: 0 for i in range(1, m + 1)}
-        for c, p in self.prereqs:
-            out[p].append(c)
-            indeg[c] += 1
-        ready = [i for i in indeg if indeg[i] == 0]
-        seen = 0
-        while ready:
-            x = ready.pop()
-            seen += 1
-            for y in out[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    ready.append(y)
-        if seen != m:
-            raise ValueError("prerequisite graph has a cycle")
+            graph.add(c, p)
+        try:
+            graph.prepare()
+        except CycleError:
+            raise ValueError("prerequisite graph has a cycle") from None
 
     @property
     def courses(self) -> int:

@@ -50,10 +50,11 @@ propagate() takes an optional deadline, checked between runs.
 
 Outside domain mode the run memo also holds each domain update of
 _absorb, keyed (delta << 32 | stick) << 32 | vi, in [2**64, 2**96), with
-value new stick << 32 | new remainder, or 0 for a wipeout.  For one store
-and mode the update is a pure function of those three: the free bits are
-vi's bits minus the stick's literals, and vi is in the key because delta
-= stick = TRUE names no variable.  A run key is 2**32 | constraint for an
+value new stick << 32 | new remainder.  For one store and mode the
+update is a pure function of those three: the free bits are vi's bits
+minus the stick's literals, and vi is in the key because delta = stick =
+TRUE names no variable.  An update cannot fail, since a projection is
+satisfiable and mentions only vi's unfixed bits.  A run key is 2**32 | constraint for an
 empty scope, or at least 2**96, so the kinds never collide, and sharing
 the table lets maintain() bound and drop update entries with the runs: a
 recycled handle never returns through a hit.
@@ -206,10 +207,6 @@ class State:
         roots.update(self.rem)
         roots.update(self.cons)
         roots.update(old for _, _, old in self.trail)
-        for v in self.vars:
-            expr = getattr(v, "expr", None)
-            if expr:
-                roots.update(expr)
         return roots
 
     def maintain(self):
@@ -278,15 +275,17 @@ class State:
         if self._set(self.stick, vi, stick) | self._set(self.rem, vi, rem):
             self._wake(vi)
 
-    def _absorb(self, vi, delta) -> bool:
+    def _absorb(self, vi, delta):
         """Fold a projection into variable vi's domain per the mode.
 
-        Returns False on a wipeout.  delta must be satisfiable and range
-        over vi's unfixed bits (all bits in domain mode).
+        delta must be satisfiable and range over vi's unfixed bits (all
+        bits in domain mode).  So the update cannot fail: its fixed
+        literals never clash with the stick, and the card or lex bound of
+        a satisfiable remainder is satisfiable.
         """
         if self.mode == "domain":
             self._put(vi, TRUE, delta)
-            return True
+            return
         # delta, vi's stick and vi determine the update; its key never meets
         # a run key, so the run memo holds it (see the module docstring)
         key = (delta << 32 | self.stick[vi]) << 32 | vi
@@ -295,18 +294,12 @@ class State:
             store = self.store
             fixed, rem = split(store, delta)
             stick = store.apply_and(self.stick[vi], fixed)
-            if stick == FALSE:
-                new = 0
-            else:
-                if self._bound is not None:
-                    free = self.bitsets[vi].difference(store.cube_literals(stick))
-                    rem = self._bound(store, rem, sorted(free))
-                new = stick << 32 | rem
+            if self._bound is not None:
+                free = self.bitsets[vi].difference(store.cube_literals(stick))
+                rem = self._bound(store, rem, sorted(free))
+            new = stick << 32 | rem
             self._prop_cache[key] = new
-        if not new:
-            return False
         self._put(vi, new >> 32, new & 0xFFFFFFFF)
-        return True
 
     def assign(self, v, element, member=True) -> bool:
         """Branch decision: force element in (or out of) set variable v."""
@@ -318,7 +311,9 @@ class State:
         if bit in fixed:
             return fixed[bit] == value
         delta = store.apply_and(self.rem[vi], store.literal(bit, value))
-        return delta != FALSE and self._absorb(vi, delta)
+        if delta != FALSE:
+            self._absorb(vi, delta)
+        return delta != FALSE
 
     # -- propagation ---------------------------------------------------
 
@@ -427,13 +422,14 @@ class State:
             if phi == TRUE:
                 return True
             if self.mode == "bounds":
-                return self._bounds_run(ci, phi)
+                self._bounds_run(ci, phi)
+                return True
         deltas = self._project(phi, scope, skip)
         if deltas is None:
             return False
         for vi in scope:
-            if vi != skip and not self._absorb(vi, deltas[vi]):
-                return False
+            if vi != skip:
+                self._absorb(vi, deltas[vi])
         if self._exact and sum(not self._fixed(vi) for vi in scope) <= 1:
             # the domains imply the constraint: TRUE retires it exactly
             # (see the module docstring)
@@ -442,7 +438,7 @@ class State:
             self._specialise(ci, [stick[vi] for vi in scope if stick[vi] != TRUE])
         return True
 
-    def _bounds_run(self, ci, phi) -> bool:
+    def _bounds_run(self, ci, phi):
         """A bounds run of ci, specialised to phi, neither TRUE nor FALSE:
         phi's fixed literals extend the sticks (see the module docstring),
         then phi is specialised to them as a second run would."""
@@ -454,7 +450,6 @@ class State:
                 if own:
                     self._put(vi, store.apply_and(self.stick[vi], store.cube(own)), TRUE)
             self._specialise(ci, [store.cube(lits)])
-        return True
 
     def propagate(self, deadline: float | None = None) -> bool:
         """Run the queue to fixpoint.  False means failure (domain wipeout).

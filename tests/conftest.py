@@ -62,6 +62,23 @@ def audit(store):
         assert store._unique.get(key) == h, f"unique table inconsistent at node {h}"
 
 
+def collect_at_every_node(state):
+    """Make state.maintain(), which search calls at every node, collect
+    garbage each time.  Returns a list to which each call appends the
+    kernel and run-memo entries left after it."""
+    maintain = state.maintain
+    entries = []
+
+    def collect_every_time():
+        # maintain() raises its trigger after each collection
+        state._gc_trigger = 0
+        maintain()
+        entries.append(state.store.cache_entries() + len(state._prop_cache))
+
+    state.maintain = collect_every_time
+    return entries
+
+
 def truth_table(store, a, nvars):
     """Evaluate a on all assignments of variables 0..nvars-1."""
     rows = []

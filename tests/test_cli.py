@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,17 @@ def test_first_solution_report(tmp_path):
     assert row["fails"] == "0"
     assert int(row["peak_nodes"]) > 2
     float(row["time_s"])
+
+
+def test_main_writes_to_the_current_stdout(capsys):
+    # main() resolves stdout when it runs, so a redirect made after import
+    # receives the report
+    path = str(Path(__file__).parent.parent / "instances" / "steiner-2-3-7.txt")
+    assert cli.main([path]) == 0
+    (row,) = report_rows(capsys.readouterr().out)
+    assert row["problem"] == "steiner"
+    assert row["status"] == "ok"
+    assert row["solutions"] == "1"
 
 
 def test_all_solutions_count(tmp_path):

@@ -28,9 +28,11 @@ from bddsets.intexpr import (
     shl,
     wsum,
 )
-from bddsets.sets import Universe, alloc_set_vars, card
+from bddsets.propagate import State
+from bddsets.search import solve
+from bddsets.sets import ConstraintBdd, Universe, alloc_set_vars, card
 
-from conftest import decode, eval_node
+from conftest import collect_at_every_node, decode, eval_node
 
 
 def envs(bits):
@@ -218,3 +220,30 @@ def test_ms_card(store):
         if not eval_node(store, guard, env):
             continue
         assert decode(store, total, env) == sum(multiset_value(store, m, env))
+
+
+@pytest.mark.parametrize("kind", ["int", "multiset"])
+def test_expr_decodes_solutions_after_collections(kind):
+    # a search that collects at every node frees every node the state does
+    # not reach; each variable's expr must still decode every solution
+    store = NodeStore()
+    if kind == "int":
+        x, y = alloc_int_vars(store, ["x", "y"], 3)
+        variables = blocks = [x, y]
+        bdd = int_eq(store, plus(store, x.expr, y.expr), const_expr(9))
+        want = {t for t in itertools.product(range(8), repeat=2) if sum(t) == 9}
+    else:
+        (m,), bounds = alloc_multiset_vars(store, Universe(4), ["m"], 3)
+        assert not bounds
+        variables, blocks = [m], m.bundles
+        bdd = int_eq(store, ms_card(store, m), const_expr(7))
+        want = {t for t in itertools.product(range(4), repeat=4) if sum(t) == 7}
+    state = State(store, variables, [ConstraintBdd(bdd, tuple(variables))])
+    entries = collect_at_every_node(state)
+    res = solve(state, all_solutions=True)
+    assert entries and store._free
+    got = set()
+    for sol in res.solutions:
+        env = {v.bits[i - 1]: True for v in variables for i in sol[v.name]}
+        got.add(tuple(decode(store, block.expr, env) for block in blocks))
+    assert got == want

@@ -306,8 +306,9 @@ TOY = BacpSpec(
 
 
 def test_bacp_spec_validation():
-    with pytest.raises(ValueError):
-        BacpSpec((1, 1), 2, 0, 2, 0, 2, ((1, 2), (2, 1)))  # cycle
+    for loads, cycle in (((1, 1), ((1, 2), (2, 1))), ((1, 1, 1), ((1, 2), (2, 3), (3, 1)))):
+        with pytest.raises(ValueError, match="prerequisite graph has a cycle"):
+            BacpSpec(loads, 2, 0, 2, 0, 2, cycle)
     with pytest.raises(ValueError):
         BacpSpec((1, 1), 2, 0, 2, 0, 2, ((1, 3),))  # out of range
     with pytest.raises(ValueError, match="load_min 3 exceeds load_max 2"):

@@ -428,9 +428,11 @@ def test_propagate_reaches_the_fixpoint_of_full_runs(mode, steps):
 
 
 def check_own_fixpoint(s):
-    """Every constraint but TRUE off the queue is where running it again
+    """No stick or remainder is FALSE, since a domain update cannot fail,
+    and every constraint but TRUE off the queue is where running it again
     would leave it: a run, undone at once, succeeds and changes no
     stick, remainder or constraint."""
+    assert FALSE not in s.stick and FALSE not in s.rem
     for ci in range(len(s.cons)):
         if s.cons[ci] != TRUE and s._why[ci] is None:
             before = state_of(s)

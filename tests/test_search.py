@@ -31,7 +31,7 @@ from bddsets.sets import (
     union_eq,
 )
 
-from conftest import eval_node
+from conftest import collect_at_every_node, eval_node
 
 
 def subsets(n):
@@ -315,16 +315,7 @@ def test_search_with_aggressive_garbage_collection(mode):
     # also holds domain updates, which a collection must drop
     plain = solve(small_problem(NodeStore(), mode), all_solutions=True)
     gc_state = small_problem(NodeStore(), mode)
-    maintain = gc_state.maintain
-    entries = []
-
-    def collect_every_time():
-        # maintain() raises its trigger after each collection
-        gc_state._gc_trigger = 0
-        maintain()
-        entries.append(gc_state.store.cache_entries() + len(gc_state._prop_cache))
-
-    gc_state.maintain = collect_every_time
+    entries = collect_at_every_node(gc_state)
     collected = solve(gc_state, all_solutions=True)
     assert gc_state.store._free and entries == [0] * collected.nodes
     assert collected.status == plain.status
