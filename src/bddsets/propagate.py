@@ -17,11 +17,13 @@ the projection is kept:
 Sticks record exact information, so every mode may specialise constraints
 against them.  A stick is a cube, a conjunction of literals, so
 specialising a constraint to the sticks of its scope, that is quantifying
-the stick bits out of its conjunction with them, is a cofactor: the
-constraint restricted to the conjoined sticks (NodeStore.cofactor).  In
-bounds mode every remainder is TRUE, so a bit is fixed in the projection
-of a specialised constraint onto its variable exactly when it is fixed in
-the constraint itself: a bounds run reads the constraint's fixed literals
+the stick bits out of its conjunction with them, is a cofactor
+(NodeStore.cofactor).  Sticks of different variables range over disjoint
+bits, so a run cofactors by each stick in turn, never building their
+conjunction; after a run, only by the sticks it changed.  In bounds mode
+every remainder is TRUE, so a bit is fixed in the projection of a
+specialised constraint onto its variable exactly when it is fixed in the
+constraint itself: a bounds run reads the constraint's fixed literals
 into the sticks and projects nothing.
 
 Projection divides the scope in halves and quantifies a half away one
@@ -306,6 +308,8 @@ class State:
         return self.assign_bit(self._index[id(v)], v.bit(element), member)
 
     def assign_bit(self, vi, bit, value) -> bool:
+        if bit not in self.bitsets[vi]:
+            raise ValueError(f"bit {bit} is not a bit of variable {self.vars[vi]!r}")
         store = self.store
         fixed = store.cube_literals(self.stick[vi])
         if bit in fixed:
@@ -397,15 +401,15 @@ class State:
         return head
 
     def _specialise(self, ci, sticks) -> int:
-        """Cofactor constraint ci by the conjunction of sticks; TRUE
-        retires it.  Returns the result; FALSE, a wipeout, is not stored."""
+        """Cofactor constraint ci by each of sticks in turn (after a run, by
+        the sticks it changed); TRUE retires it, FALSE is not stored."""
         phi = self.cons[ci]
-        if sticks:
-            store = self.store
-            phi = store.cofactor(phi, store.conjoin(sticks))
+        cofactor = self.store.cofactor
+        for s in sticks:
+            phi = cofactor(phi, s)
             if phi == FALSE:
                 return FALSE
-            self._set(self.cons, ci, phi)
+        self._set(self.cons, ci, phi)
         return phi
 
     def _propagator(self, ci, skip) -> bool:
@@ -416,7 +420,8 @@ class State:
         if self.mode == "domain":
             phi = self.cons[ci]
         else:
-            phi = self._specialise(ci, [stick[vi] for vi in scope if stick[vi] != TRUE])
+            before = [stick[vi] for vi in scope]
+            phi = self._specialise(ci, [s for s in before if s != TRUE])
             if phi == FALSE:
                 return False
             if phi == TRUE:
@@ -435,7 +440,7 @@ class State:
             # (see the module docstring)
             self._set(self.cons, ci, TRUE)
         elif self.mode != "domain":
-            self._specialise(ci, [stick[vi] for vi in scope if stick[vi] != TRUE])
+            self._specialise(ci, [stick[vi] for vi, s in zip(scope, before) if stick[vi] != s])
         return True
 
     def _bounds_run(self, ci, phi):

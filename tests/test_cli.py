@@ -308,7 +308,7 @@ def test_report_row_solve(tmp_path):
         "fails": 47,
         "nodes": 94,
         "optimum": "",
-        "peak_nodes": 15551,
+        "peak_nodes": 8542,
     }
 
 
@@ -324,7 +324,7 @@ def test_report_row_optimize(tmp_path):
         "fails": 6,
         "nodes": "",
         "optimum": 2,
-        "peak_nodes": 1045,
+        "peak_nodes": 895,
     }
 
 

@@ -256,6 +256,17 @@ def test_assign_rejects_elements_outside_the_universe(store, element):
     assert st.trail == trail
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_assign_bit_rejects_a_bit_of_another_variable(store, mode):
+    # a remainder must mention only its own variable's bits
+    x, y = alloc_set_vars(store, Universe(3), ["x", "y"])
+    st = State(store, [x, y], [ConstraintBdd(subseteq(store, x, y), (x, y))], mode=mode)
+    assert st.propagate()
+    with pytest.raises(ValueError, match="not a bit of variable"):
+        st.assign_bit(0, y.bits[0], True)
+    assert st.trail == [] and st.fixed_bit_values(0) == {}
+
+
 def test_card_mode_interval_extraction(store):
     # projection of lexlt(x, y) onto x allows cardinalities 0..2 over N=3
     u = Universe(3)

@@ -41,7 +41,9 @@ any constraint but TRUE off the queue again must change no stick,
 remainder or constraint, since no run queues its own
 constraint again; and a bounds run, which reads the fixed literals of
 the specialised constraint, must match projecting by brute force and
-splitting each projection.  Outside domain mode, where the run memo also
+splitting each projection.  Cofactoring a function by cubes over
+disjoint bits one at a time, in any order, must equal cofactoring it by
+their conjunction.  Outside domain mode, where the run memo also
 holds each domain update, the same walk on two states over one store, one
 of which empties its run memo before every step, must pass through the
 same domains, constraints and queues.
@@ -312,6 +314,26 @@ def test_project_matches_brute_force(universe, order, size, phi, domains):
         assert got is None
     else:
         assert got == want
+
+
+@PROPERTY_SETTINGS
+@given(phi=dnf, cubes=st.lists(cube, min_size=2, max_size=3), order=st.permutations(range(3)))
+def test_cofactor_by_disjoint_cubes_in_turn_is_cofactor_by_their_conjunction(phi, cubes, order):
+    # State._specialise rests on this: sticks of different variables range
+    # over disjoint bits, here interleaved in the variable order
+    store = NodeStore()
+    bits = store.new_vars(12)
+    groups = [bits[g::3] for g in range(3)]
+    p = function_of(store, bits, phi)
+    sticks = [
+        stick_of(store, {g[i % len(g)]: sign for i, sign in c.items()})
+        for g, c in zip(groups, cubes)
+    ]
+    folded = p
+    for i in order:
+        if i < len(sticks):
+            folded = store.cofactor(folded, sticks[i])
+    assert folded == store.cofactor(p, store.conjoin(sticks))
 
 
 def check_retired(s, original):

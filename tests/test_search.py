@@ -238,6 +238,27 @@ def test_run_memo_is_untracked_by_the_cycle_collector(mode):
     assert gc.is_tracked(st._prop_cache) is False
 
 
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "domain"])
+def test_search_specialises_without_conjoining_sticks(mode, monkeypatch):
+    # sticks of different variables range over disjoint bits, so a
+    # constraint is cofactored by each in turn and their conjunction is
+    # never built; the model builders still conjoin
+    def state():
+        model = build_steiner(SteinerSpec(2, 3, 7))
+        return model, State(model.store, model.vars, model.constraints, mode=mode)
+
+    def conjoin(self, nodes):
+        raise AssertionError("propagation built a conjunction")
+
+    model, st = state()
+    plain = solve(st, model.strategy, branch_vars=model.branch_vars, all_solutions=True)
+    model, st = state()
+    monkeypatch.setattr(NodeStore, "conjoin", conjoin)
+    res = solve(st, model.strategy, branch_vars=model.branch_vars, all_solutions=True)
+    assert res.status == plain.status == "all" and len(res.solutions) == 30
+    assert (res.solutions, res.fails, res.nodes) == (plain.solutions, plain.fails, plain.nodes)
+
+
 def test_search_leaves_state_restored(store):
     u = Universe(3)
     x, y = alloc_set_vars(store, u, ["x", "y"])
