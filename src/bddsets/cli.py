@@ -3,7 +3,7 @@
 Reads an instance file, builds the model, runs one solve (first solution,
 all solutions, or optimization), and writes a csv or jsonl report to
 stdout.  With --trace, per-labeling-step rows (total domain bits and
-total domain BDD sizes) are emitted before the report row.
+total stick and remainder BDD sizes) are emitted before the report row.
 """
 
 from __future__ import annotations
@@ -117,12 +117,15 @@ class _Emitter:
 
 
 def _domain_stats(state):
+    """Total log2 domain size and stored stick and remainder nodes; it
+    builds no node, so tracing leaves peak_nodes alone."""
+    store = state.store
     bits = 0.0
     nodes = 0
-    for vi in range(len(state.vars)):
-        d = state.domain_bdd(vi)
-        bits += math.log2(state.store.sat_count(d, state.bits[vi]))
-        nodes += state.store.size(d)
+    for vi, (stick, rem) in enumerate(zip(state.stick, state.rem)):
+        free = state.bitsets[vi].difference(store.cube_literals(stick))
+        bits += math.log2(store.sat_count(rem, free))
+        nodes += store.size(stick) + store.size(rem)
     return bits, nodes
 
 

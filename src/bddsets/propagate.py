@@ -3,28 +3,26 @@
 A State owns a group of variables (set, integer, or multiset blocks —
 anything with an ordered `bits` tuple), one domain per variable stored as
 a pair (stick, rem) of BDDs whose conjunction is the domain, and a list
-of constraint BDDs.  Propagation repeatedly projects each constraint,
-conjoined with the current domains, onto each variable of its scope and
-folds the projection back into the domain.  The mode decides how much of
-the projection is kept:
+of constraint BDDs.  The stick is a cube of the fixed bits and the
+remainder ranges over the others.  Propagation repeatedly projects each
+constraint, conjoined with the current domains, onto each variable of its
+scope and folds the projection back into the domain: its fixed bits
+extend the stick, and the mode decides how much of the rest is kept:
 
-  domain  the whole projection (strongest; domains are arbitrary BDDs)
-  split   same information, but fixed bits are factored into the stick
-  bounds  only the newly fixed bits
-  card    fixed bits plus a cardinality interval on the rest
-  lex     fixed bits plus lexicographic bounds on the rest
+  domain, split  all of it (exact; the two names run one propagator)
+  bounds         nothing: only the newly fixed bits
+  card           a cardinality interval on the unfixed bits
+  lex            lexicographic bounds on the unfixed bits
 
-Sticks record exact information, so every mode may specialise constraints
-against them.  A stick is a cube, a conjunction of literals, so
-specialising a constraint to the sticks of its scope, that is quantifying
-the stick bits out of its conjunction with them, is a cofactor
-(NodeStore.cofactor).  Sticks of different variables range over disjoint
-bits, so a run cofactors by each stick in turn, never building their
-conjunction; after a run, only by the sticks it changed.  In bounds mode
-every remainder is TRUE, so a bit is fixed in the projection of a
-specialised constraint onto its variable exactly when it is fixed in the
-constraint itself: a bounds run reads the constraint's fixed literals
-into the sticks and projects nothing.
+Sticks record exact information, so every mode specialises constraints
+against them: quantifying a cube's bits out of its conjunction with a
+constraint is a cofactor (NodeStore.cofactor).  Sticks of different
+variables range over disjoint bits, so a run cofactors by each stick in
+turn, never building their conjunction; after a run, only by the sticks
+it changed.  In bounds mode every remainder is TRUE, so a bit is fixed in
+the projection of a specialised constraint onto its variable exactly
+when it is fixed in the constraint itself: a bounds run reads the
+constraint's fixed literals into the sticks and projects nothing.
 
 Projection divides the scope in halves and quantifies a half away one
 variable at a time: each step is one and_exists over that variable's bits
@@ -44,19 +42,22 @@ All propagators are monotone, hence the fixpoint reached is independent
 of queue order.  Every change to a domain or a constraint is trailed as
 (array, index, old handle) so search can backtrack, and whole propagator
 runs are memoised so revisiting a search node is nearly free.  The memo
-maps one packed int (the constraint handle, then each scope variable's
+maps one packed int (the constraint's index ci, then each scope variable's
 stick and remainder, 32 bits per handle) to one packed int (the
 constraint after the run and the scope domains, or -1 for a failure), so
-the cycle collector never tracks it.
-propagate() takes an optional deadline, checked between runs.
+the cycle collector never tracks it.  The index names the constraint
+exactly: a cons[ci] that is not TRUE is the original constraint
+cofactored by older sticks of its scope, each implied by the current one,
+and a run first cofactors it by the current sticks, so what the run does
+depends only on ci and the scope's domains.
 
-Outside domain mode the run memo also holds each domain update of
-_absorb, keyed (delta << 32 | stick) << 32 | vi, in [2**64, 2**96), with
-value new stick << 32 | new remainder.  For one store and mode the
-update is a pure function of those three: the free bits are vi's bits
-minus the stick's literals, and vi is in the key because delta = stick =
-TRUE names no variable.  An update cannot fail, since a projection is
-satisfiable and mentions only vi's unfixed bits.  A run key is 2**32 | constraint for an
+The run memo also holds each domain update of _absorb, keyed
+(delta << 32 | stick) << 32 | vi, in [2**64, 2**96), with value
+new stick << 32 | new remainder.  For one store and mode the update is a
+pure function of those three: the free bits are vi's bits minus the
+stick's literals, and vi is in the key because delta = stick = TRUE names
+no variable.  An update cannot fail, since a projection is satisfiable
+and mentions only vi's unfixed bits.  A run key is 2**32 | ci for an
 empty scope, or at least 2**96, so the kinds never collide, and sharing
 the table lets maintain() bound and drop update entries with the runs: a
 recycled handle never returns through a hit.
@@ -112,7 +113,7 @@ class DeadlineExceeded(Exception):
 class State:
     """Domains, constraints, trail and propagation queue for one problem."""
 
-    def __init__(self, store: NodeStore, variables, constraints, mode="domain"):
+    def __init__(self, store: NodeStore, variables, constraints, mode=MODES[0]):
         if mode not in MODES:
             raise ValueError(f"unknown propagation mode {mode!r}")
         self.store = store
@@ -280,14 +281,11 @@ class State:
     def _absorb(self, vi, delta):
         """Fold a projection into variable vi's domain per the mode.
 
-        delta must be satisfiable and range over vi's unfixed bits (all
-        bits in domain mode).  So the update cannot fail: its fixed
-        literals never clash with the stick, and the card or lex bound of
-        a satisfiable remainder is satisfiable.
+        delta must be satisfiable and range over vi's unfixed bits.  So
+        the update cannot fail: its fixed literals never clash with the
+        stick, and the card or lex bound of a satisfiable remainder is
+        satisfiable.
         """
-        if self.mode == "domain":
-            self._put(vi, TRUE, delta)
-            return
         # delta, vi's stick and vi determine the update; its key never meets
         # a run key, so the run memo holds it (see the module docstring)
         key = (delta << 32 | self.stick[vi]) << 32 | vi
@@ -372,8 +370,9 @@ class State:
         """Run constraint ci, skipping the projection onto variable skip
         (-1: none) and its absorption."""
         scope = self.scopes[ci]
-        # the leading 1 keeps keys of scopes of different lengths apart
-        key = self._pack(1 << 32 | self.cons[ci], scope)
+        # the leading 1 keeps keys of scopes of different lengths apart;
+        # ci stands for its constraint (see the module docstring)
+        key = self._pack(1 << 32 | ci, scope)
         cached = self._prop_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
@@ -417,18 +416,15 @@ class State:
         ci where running it again would: see the module docstring."""
         scope = self.scopes[ci]
         stick = self.stick
-        if self.mode == "domain":
-            phi = self.cons[ci]
-        else:
-            before = [stick[vi] for vi in scope]
-            phi = self._specialise(ci, [s for s in before if s != TRUE])
-            if phi == FALSE:
-                return False
-            if phi == TRUE:
-                return True
-            if self.mode == "bounds":
-                self._bounds_run(ci, phi)
-                return True
+        before = [stick[vi] for vi in scope]
+        phi = self._specialise(ci, [s for s in before if s != TRUE])
+        if phi == FALSE:
+            return False
+        if phi == TRUE:
+            return True
+        if self.mode == "bounds":
+            self._bounds_run(ci, phi)
+            return True
         deltas = self._project(phi, scope, skip)
         if deltas is None:
             return False
@@ -439,7 +435,7 @@ class State:
             # the domains imply the constraint: TRUE retires it exactly
             # (see the module docstring)
             self._set(self.cons, ci, TRUE)
-        elif self.mode != "domain":
+        else:
             self._specialise(ci, [stick[vi] for vi, s in zip(scope, before) if stick[vi] != s])
         return True
 

@@ -105,6 +105,21 @@ def test_trace_rows(tmp_path):
     assert records[-1]["kind"] == "report"
 
 
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_trace_leaves_the_report_row_alone(mode):
+    # the trace reads the stored domains and builds no node, so the row,
+    # peak_nodes included, is the same with and without it
+    path = str(Path(__file__).parent.parent / "instances" / "steiner-2-3-7.txt")
+    rows = []
+    for extra in ([], ["--trace"]):
+        code, out = run_cli([path, "--mode", mode, "--format", "jsonl", *extra])
+        assert code == 0
+        (row,) = [r for r in map(json.loads, out.splitlines()) if r["kind"] == "report"]
+        row.pop("time_s")
+        rows.append(row)
+    assert rows[0] == rows[1]
+
+
 def test_deterministic_modulo_time(tmp_path):
     path = write(tmp_path, STEINER)
     _, out1 = run_cli([path, "--target", "all"])

@@ -527,22 +527,24 @@ def test_partition_scenario(store):
 
 def test_false_constraint_fails_its_first_run(store):
     # a constraint that is FALSE when built is kept, and its first run
-    # wipes out, like any other failure at the root
+    # wipes out, like any other failure at the root; with an empty scope
+    # there is nothing to project, and the run must still end
     x, y = alloc_set_vars(store, Universe(2), ["x", "y"])
-    cons = [
+    scoped = [
         ConstraintBdd(subseteq(store, x, y), (x, y)),
         ConstraintBdd(FALSE, (x, y)),
     ]
-    for mode in MODES:
-        st = State(store, [x, y], cons, mode=mode)
-        start = st.mark()
-        assert TRUE not in st.cons
-        assert not st.propagate()
-        # the failed run is memoised like any other
-        st.undo(start)
-        runs = st.runs
-        assert not st.propagate()
-        assert st.runs == runs and st.cache_hits > 0, mode
+    for variables, cons in (([x, y], scoped), ([], [ConstraintBdd(FALSE)])):
+        for mode in MODES:
+            st = State(store, variables, cons, mode=mode)
+            start = st.mark()
+            assert TRUE not in st.cons
+            assert not st.propagate()
+            # the failed run is memoised like any other
+            st.undo(start)
+            runs = st.runs
+            assert not st.propagate()
+            assert st.runs == runs and st.cache_hits > 0, mode
 
 
 def test_unknown_mode_rejected(store):

@@ -43,10 +43,10 @@ constraint again; and a bounds run, which reads the fixed literals of
 the specialised constraint, must match projecting by brute force and
 splitting each projection.  Cofactoring a function by cubes over
 disjoint bits one at a time, in any order, must equal cofactoring it by
-their conjunction.  Outside domain mode, where the run memo also
-holds each domain update, the same walk on two states over one store, one
-of which empties its run memo before every step, must pass through the
-same domains, constraints and queues.
+their conjunction.  In every mode, where the run memo is keyed by
+constraint index and also holds each domain update, the same walk on two
+states over one store, one of which empties its run memo before every
+step, must pass through the same domains, constraints and queues.
 """
 
 import gc
@@ -532,8 +532,9 @@ def at_most(limit, run):
     return counted
 
 
-# outside domain mode the run memo also holds each domain update
-@pytest.mark.parametrize("mode", [m for m in MODES if m != "domain"])
+# in every mode the run memo is keyed by constraint index and also holds
+# each domain update
+@pytest.mark.parametrize("mode", MODES)
 @PROPERTY_SETTINGS
 @given(steps=wake_steps)
 def test_memoised_domain_updates_are_exact(mode, steps):

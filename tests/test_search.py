@@ -238,7 +238,7 @@ def test_run_memo_is_untracked_by_the_cycle_collector(mode):
     assert gc.is_tracked(st._prop_cache) is False
 
 
-@pytest.mark.parametrize("mode", [m for m in MODES if m != "domain"])
+@pytest.mark.parametrize("mode", MODES)
 def test_search_specialises_without_conjoining_sticks(mode, monkeypatch):
     # sticks of different variables range over disjoint bits, so a
     # constraint is cofactored by each in turn and their conjunction is
@@ -332,8 +332,8 @@ def small_problem(s, mode="domain"):
 @pytest.mark.parametrize("mode", MODES)
 def test_search_with_aggressive_garbage_collection(mode):
     # force a collection at every node and check the search result is
-    # unchanged from an uncollected run; outside domain mode the run memo
-    # also holds domain updates, which a collection must drop
+    # unchanged from an uncollected run; the run memo also holds domain
+    # updates, which a collection must drop
     plain = solve(small_problem(NodeStore(), mode), all_solutions=True)
     gc_state = small_problem(NodeStore(), mode)
     entries = collect_at_every_node(gc_state)
