@@ -107,7 +107,8 @@ def count_cardinality(store: NodeStore, a: int, vs) -> tuple[int, int] | None:
 
 
 def card_bounds(store: NodeStore, a: int, vs) -> int:
-    """BDD of the cardinality interval of a over bits vs (0 if a is 0)."""
+    """BDD of the cardinality interval of a over bits vs (0 if a is 0);
+    vs must be strictly increasing and contain every variable of a."""
     vs = tuple(vs)
     interval = count_cardinality(store, a, vs)
     if interval is EMPTY_INTERVAL:
@@ -134,14 +135,13 @@ def _lex_bound(store: NodeStore, a: int, bs, lower: bool) -> int:
         def mk(b, t, f):
             return store.mk_node(b, f, t)
 
-    # walk down the bound's one path, then build it bottom-up
+    # walk down the bound's one path, then build it bottom-up; d is never
+    # FALSE, since it takes hi only when lo is FALSE, and then hi is not
     path = []  # (bit, whether the bound keeps only the then-branch)
     d = a
     for b in bs:
         if d == TRUE:
             break
-        if d == FALSE:
-            raise ValueError("unsatisfiable branch during lex extraction")
         v = var[d]
         if b > v:
             raise ValueError("bs not sorted or missing a BDD variable")

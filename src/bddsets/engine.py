@@ -466,11 +466,13 @@ class NodeStore:
         """Number of assignments to `over` satisfying a.
 
         Variables in `over` that a does not mention contribute a factor 2.
-        Every variable of a must be listed in `over`.
+        Every variable of a must be listed in `over`, and none twice.
         """
         over = tuple(sorted(over))
         pos = {v: i for i, v in enumerate(over)}
         n = len(over)
+        if len(pos) != n:
+            raise ValueError("a variable is listed twice in `over`")
         var, hi, lo = self._var, self._hi, self._lo
         # node -> (models over the variables of `over` from its own on,
         # the index of its variable)

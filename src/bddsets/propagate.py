@@ -14,6 +14,15 @@ extend the stick, and the mode decides how much of the rest is kept:
   card           a cardinality interval on the unfixed bits
   lex            lexicographic bounds on the unfixed bits
 
+In every mode the remainder fixes no bit, so the stick alone gives a
+domain's fixed bits, and the domain is one value exactly when its
+remainder is TRUE and its stick fixes every bit.  _absorb splits every
+projection, so the remainder it keeps has no fixed literal; a bounds
+remainder is TRUE; a cardinality interval over m free bits fixes a bit
+only if it is [m, m] or [0, 0], and a remainder with no fixed bit has
+neither; and a lexicographic interval fixes exactly the common prefix of
+its minimum and maximum, a prefix that would be fixed in the remainder.
+
 Sticks record exact information, so every mode specialises constraints
 against them: quantifying a cube's bits out of its conjunction with a
 constraint is a cofactor (NodeStore.cofactor).  Sticks of different
@@ -232,20 +241,10 @@ class State:
     def var_index(self, v) -> int:
         return self._index[id(v)]
 
-    def domain_bdd(self, v) -> int:
-        vi = v if isinstance(v, int) else self._index[id(v)]
-        return self.store.apply_and(self.stick[vi], self.rem[vi])
-
     def fixed_bit_values(self, v) -> dict[int, bool]:
-        """Bit -> forced value over the variable's current domain.
-
-        The stick and the remainder range over disjoint bits, so their
-        fixed literals together are the domain's.
-        """
+        """Bit -> forced value over the variable's domain: the stick's literals."""
         vi = v if isinstance(v, int) else self._index[id(v)]
-        fixed = fixed_literals(self.store, self.rem[vi])
-        fixed.update(self.store.cube_literals(self.stick[vi]))
-        return fixed
+        return self.store.cube_literals(self.stick[vi])
 
     def is_determined(self, v) -> bool:
         return self._fixed(v if isinstance(v, int) else self._index[id(v)])
@@ -312,10 +311,9 @@ class State:
         fixed = store.cube_literals(self.stick[vi])
         if bit in fixed:
             return fixed[bit] == value
-        delta = store.apply_and(self.rem[vi], store.literal(bit, value))
-        if delta != FALSE:
-            self._absorb(vi, delta)
-        return delta != FALSE
+        # the remainder does not fix the bit, so either value is satisfiable
+        self._absorb(vi, store.apply_and(self.rem[vi], store.literal(bit, value)))
+        return True
 
     # -- propagation ---------------------------------------------------
 
@@ -355,16 +353,10 @@ class State:
         return out
 
     def _fixed(self, vi) -> bool:
-        """Whether variable vi's domain is a single value.
-
-        In every mode the stick and the remainder mention disjoint bits,
-        so the domain is one value exactly when the remainder, like the
-        stick, is a cube and their literals together cover every bit.
-        """
-        cube_literals = self.store.cube_literals
-        rem = cube_literals(self.rem[vi])
-        n = len(self.bits[vi])
-        return rem is not None and len(rem) + len(cube_literals(self.stick[vi])) == n
+        """Whether variable vi's domain is one value (see the module docstring)."""
+        if self.rem[vi] != TRUE:
+            return False
+        return len(self.store.cube_literals(self.stick[vi])) == len(self.bits[vi])
 
     def _run(self, ci, skip) -> bool:
         """Run constraint ci, skipping the projection onto variable skip

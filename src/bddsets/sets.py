@@ -176,8 +176,11 @@ def _count(node, xs, l: int, u: int) -> int:
 def card(store, bits, l: int, u: int) -> int:
     """BDD true iff the number of true bits among `bits` lies in [l, u].
 
-    `bits` must be listed in increasing variable order.
+    `bits` must be in strictly increasing variable order, else ValueError.
     """
+    bits = list(bits)
+    if any(a >= b for a, b in zip(bits, bits[1:])):
+        raise ValueError(f"card bits {bits} are not strictly increasing")
     return _count(store.mk_node, bits, l, u)
 
 

@@ -62,6 +62,13 @@ def audit(store):
         assert store._unique.get(key) == h, f"unique table inconsistent at node {h}"
 
 
+def domain_bdd(state, v):
+    """The domain of state's variable v (the variable or its index): the
+    conjunction of its stick and remainder, built in state's store."""
+    vi = v if isinstance(v, int) else state.var_index(v)
+    return state.store.apply_and(state.stick[vi], state.rem[vi])
+
+
 def collect_at_every_node(state):
     """Make state.maintain(), which search calls at every node, collect
     garbage each time.  Returns a list to which each call appends the

@@ -53,7 +53,7 @@ from bddsets.sets import (
     union_eq,
 )
 
-from conftest import apply_op, audit, decode, eval_node
+from conftest import apply_op, audit, decode, domain_bdd, eval_node
 
 FULL = os.environ.get("BDDSETS_ACCEPTANCE_FULL") == "1"
 
@@ -307,7 +307,7 @@ def test_criterion_5_propagation_oracles():
             continue
         if ok:
             for v in vs:
-                got = {t for t in subsets(n) if holds(store, st.domain_bdd(v), {v: t})}
+                got = {t for t in subsets(n) if holds(store, domain_bdd(st, v), {v: t})}
                 if got != expected[v]:
                     problems.append(f"case {case}: domain fixpoint differs on {v.name}")
 

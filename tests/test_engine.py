@@ -159,6 +159,17 @@ def test_sat_count_requires_cover(store):
         store.sat_count(vw, [v])
 
 
+def test_sat_count_rejects_a_repeated_variable(store):
+    # counted once per listing, v0 would double the count over {v0, v1}
+    v0, v1 = store.new_vars(2)
+    assert store.sat_count(store.literal(v0), [v0, v1]) == 2
+    for over in ([v0, v0, v1], [v1, v0, v1]):
+        with pytest.raises(ValueError, match="twice"):
+            store.sat_count(store.literal(v0), over)
+    with pytest.raises(ValueError, match="twice"):
+        store.sat_count(TRUE, [v1, v1])
+
+
 def test_sat_count_card_two_of_five(store):
     # oracle: brute-force enumeration of all 32 subsets
     from bddsets.sets import card

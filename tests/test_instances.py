@@ -5,7 +5,9 @@ from bddsets.instances import (
     build_from_instance,
     parse_instance,
 )
-from bddsets.models import BacpSpec, GolfersSpec, HammingSpec, SteinerSpec
+from bddsets.models import BacpSpec, GolfersSpec, HammingSpec, SteinerSpec, hamming_valid
+from bddsets.propagate import State
+from bddsets.search import solve
 
 STEINER = """
 # triple system
@@ -83,6 +85,17 @@ def test_build_from_instance():
     assert len(m.vars) == 7
     m = build_from_instance(parse_instance(BACP))
     assert any(v.name == "X1" for v in m.vars)
+
+
+def test_build_from_hamming_instance_solves_to_a_valid_code():
+    parsed = parse_instance(HAMMING)
+    m = build_from_instance(parsed)
+    st = State(m.store, m.vars, m.constraints)
+    res = solve(st, m.strategy, branch_vars=m.branch_vars)
+    assert res.status == "sat"
+    spec = parsed["spec"]
+    words = [res.solutions[0][f"c{i + 1}"] for i in range(spec.n)]
+    assert hamming_valid(spec, words)
 
 
 BACP_HEADER = (

@@ -25,7 +25,7 @@ from bddsets.sets import (
     union_eq,
 )
 
-from conftest import eval_node
+from conftest import domain_bdd, eval_node
 
 
 def subsets(n):
@@ -99,8 +99,8 @@ def test_projection_example_subseteq(store):
     ]
     st, ok = make_state(store, [v, w], cons, "domain")
     assert ok
-    assert st.domain_bdd(v) == domain_bdd_of(store, v, [{1}, {1, 3}])
-    assert st.domain_bdd(w) == domain_bdd_of(store, w, [{1, 2}, {1, 3}])
+    assert domain_bdd(st, v) == domain_bdd_of(store, v, [{1}, {1, 3}])
+    assert domain_bdd(st, w) == domain_bdd_of(store, w, [{1, 2}, {1, 3}])
     # element 1 is now forced into v
     fixed = st.fixed_bit_values(v)
     assert fixed.get(v.bit(1)) is True
@@ -121,7 +121,7 @@ def test_single_constraint_domain_mode_is_exact(store):
         for i, v in enumerate(vars_):
             expected = {combo[i] for combo in sols}
             got = {
-                t for t in subsets(3) if holds(s, st.domain_bdd(v), {v: t})
+                t for t in subsets(3) if holds(s, domain_bdd(st, v), {v: t})
             }
             assert got == expected
 
@@ -139,7 +139,7 @@ def test_propagation_sound_every_mode(mode):
             continue
         for combo in sols:
             for i, v in enumerate(vars_):
-                assert holds(s, st.domain_bdd(v), {v: combo[i]})
+                assert holds(s, domain_bdd(st, v), {v: combo[i]})
 
 
 def test_split_equals_domain_strength():
@@ -152,7 +152,7 @@ def test_split_equals_domain_strength():
         assert ok_d == ok_s
         if ok_d:
             for v in vars_:
-                assert st_d.domain_bdd(v) == st_s.domain_bdd(v)
+                assert domain_bdd(st_d, v) == domain_bdd(st_s, v)
 
 
 def test_mode_dominance():
@@ -171,14 +171,14 @@ def test_mode_dominance():
         for weak in ("bounds", "card", "lex"):
             assert states[weak] is not None
             for v in vars_:
-                strong = states["domain"].domain_bdd(v)
-                approx = states[weak].domain_bdd(v)
+                strong = domain_bdd(states["domain"], v)
+                approx = domain_bdd(states[weak], v)
                 assert s.apply_imp(strong, approx) == TRUE
         for mid in ("card", "lex"):
             for v in vars_:
                 assert (
                     s.apply_imp(
-                        states[mid].domain_bdd(v), states["bounds"].domain_bdd(v)
+                        domain_bdd(states[mid], v), domain_bdd(states["bounds"], v)
                     )
                     == TRUE
                 )
@@ -316,7 +316,7 @@ def test_entailed_constraint_retired_everywhere():
         ]
         st, ok = make_state(s, [x, y], cons, mode)
         assert ok
-        assert st.domain_bdd(y) == TRUE
+        assert domain_bdd(st, y) == TRUE
         assert st.cons[1] == TRUE
 
 

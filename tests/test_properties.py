@@ -30,8 +30,8 @@ is implied by its scope's domains, so running it again would change
 nothing; and that after the same decisions the five modes are ordered by
 strength: domain and split reach equal domains, which lie within the card
 and lex domains, which lie within the bounds domains.  In every mode,
-State.is_determined's cube walk must agree with counting the fixed
-literals of the conjoined domain.  In domain and split modes, where a
+State.is_determined and State.fixed_bit_values, which read the stick
+alone, must agree with the fixed literals of the conjoined domain.  In domain and split modes, where a
 run woken by one variable alone skips the projection onto it, every
 constraint but TRUE off the queue must be at the fixpoint of a full
 projection after every propagate() that succeeds and every undo, also
@@ -39,7 +39,7 @@ over walks that mark the trail with constraints queued and that run out
 of time mid-propagation.  In every mode, over the same walks, running
 any constraint but TRUE off the queue again must change no stick,
 remainder or constraint, since no run queues its own
-constraint again; and a bounds run, which reads the fixed literals of
+constraint again, and no remainder may fix a bit; and a bounds run, which reads the fixed literals of
 the specialised constraint, must match projecting by brute force and
 splitting each projection.  Cofactoring a function by cubes over
 disjoint bits one at a time, in any order, must equal cofactoring it by
@@ -73,7 +73,7 @@ from bddsets.sets import (
     union_eq,
 )
 
-from conftest import audit, disjoin, exists_table, hot_tables, truth_table
+from conftest import audit, disjoin, domain_bdd, exists_table, hot_tables, truth_table
 
 NVARS = 4
 
@@ -343,7 +343,7 @@ def check_retired(s, original):
     for ci, scope in enumerate(s.scopes):
         if s.cons[ci] != TRUE:
             continue
-        doms = [s.domain_bdd(vi) for vi in scope]
+        doms = [domain_bdd(s, vi) for vi in scope]
         conj = store.conjoin(doms)
         assert store.apply_and(conj, store.negate(original[ci])) == FALSE
         both = store.apply_and(conj, original[ci])
@@ -450,11 +450,14 @@ def test_propagate_reaches_the_fixpoint_of_full_runs(mode, steps):
 
 
 def check_own_fixpoint(s):
-    """No stick or remainder is FALSE, since a domain update cannot fail,
-    and every constraint but TRUE off the queue is where running it again
-    would leave it: a run, undone at once, succeeds and changes no
-    stick, remainder or constraint."""
+    """No stick or remainder is FALSE, since a domain update cannot fail;
+    no remainder fixes a bit, which is what lets the stick alone give the
+    fixed bits; and every constraint but TRUE off the queue is where
+    running it again would leave it: a run, undone at once, succeeds and
+    changes no stick, remainder or constraint."""
     assert FALSE not in s.stick and FALSE not in s.rem
+    for vi, rem in enumerate(s.rem):
+        assert fixed_literals(s.store, rem) == {}, vi
     for ci in range(len(s.cons)):
         if s.cons[ci] != TRUE and s._why[ci] is None:
             before = state_of(s)
@@ -596,18 +599,18 @@ def test_modes_are_ordered_by_strength(decisions):
                 assert ok[strong] <= ok[weak], (strong, weak)
         live = {m: s for m, s in live.items() if ok[m]}
         for vi in range(3):
-            dom = {m: s.domain_bdd(vi) for m, s in live.items()}
+            dom = {m: domain_bdd(s, vi) for m, s in live.items()}
             for strong, weak in STRONGER:
                 if strong in dom and weak in dom:
                     assert subset(store, dom[strong], dom[weak]), (strong, weak)
 
 
 def check_determined(s):
-    """is_determined's cube walk agrees with counting fixed literals, and
-    fixed_bit_values, which reads the stick and the remainder apart, with
-    the fixed literals of their conjunction."""
+    """is_determined agrees with counting fixed literals, and
+    fixed_bit_values, which reads the stick alone, with the fixed literals
+    of the conjunction of stick and remainder."""
     for vi, bits in enumerate(s.bits):
-        fixed = fixed_literals(s.store, s.domain_bdd(vi))
+        fixed = fixed_literals(s.store, domain_bdd(s, vi))
         assert s.is_determined(vi) == (len(fixed) == len(bits))
         assert s.fixed_bit_values(vi) == fixed
 

@@ -9,7 +9,7 @@ import pytest
 from bddsets import propagate, search
 from bddsets.engine import NodeStore, TRUE
 from bddsets.models import HammingSpec, SteinerSpec, build_hamming, build_steiner
-from bddsets.propagate import MODES, State
+from bddsets.propagate import MODES, DeadlineExceeded, State
 from bddsets.search import (
     SearchResult,
     Strategy,
@@ -301,6 +301,40 @@ def test_optimize_incremental():
     n, sol = best
     assert n == 3
     assert {len(v) for v in sol.values()} == {1}
+
+
+@pytest.mark.parametrize("status", ["timeout", "nodelimit"])
+def test_optimize_keeps_best_when_a_solve_is_cut_short(status):
+    # n = 1 solves S(2,3,7); the n = 2 solve, not build(2), is cut short:
+    # its propagation raises DeadlineExceeded, as it does once its deadline
+    # passes, or its store reaches a node ceiling just above the root
+    # fixpoint's table
+    model = build_steiner(SteinerSpec(2, 3, 7))
+    st = State(model.store, model.vars, model.constraints)
+    assert st.propagate()
+    at_root = model.store.node_count()
+    first = solve(st, model.strategy, branch_vars=model.branch_vars)
+    assert first.status == "sat"
+
+    def out_of_time(deadline=None):
+        raise DeadlineExceeded
+
+    cut = []
+
+    def build(n):
+        limit = at_root + 1 if n > 1 and status == "nodelimit" else None
+        model = build_steiner(SteinerSpec(2, 3, 7), node_limit=limit)
+        state = State(model.store, model.vars, model.constraints)
+        if n > 1:
+            cut.append(n)
+            if status == "timeout":
+                state.propagate = out_of_time
+        return state, model.strategy, model.branch_vars
+
+    best, got, fails = optimize_incremental(build)
+    assert got == status and cut == [2]
+    assert best == (1, first.solutions[0])
+    assert fails >= first.fails
 
 
 def test_optimize_incremental_unsat_at_start():

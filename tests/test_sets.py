@@ -118,6 +118,19 @@ def test_card_base_cases(store):
     assert card(store, bits, 2, 1) == FALSE
 
 
+@pytest.mark.parametrize(
+    "order", [(2, 1, 0), (0, 2, 1), (0, 0, 1)], ids=["reversed", "swapped", "repeated"]
+)
+def test_card_rejects_bits_out_of_order(order):
+    # a plain store would build a second handle for the function of the
+    # sorted call; a debug_checks store raises OrderingViolation instead
+    store = NodeStore()
+    bits = store.new_vars(3)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        card(store, [bits[i] for i in order], 1, 1)
+    assert store.node_count() == 0
+
+
 def test_card_count_and_size_bound(store):
     bits = store.new_vars(5)
     c = card(store, bits, 2, 2)
