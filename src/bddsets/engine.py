@@ -6,7 +6,7 @@ on their operand handles, and structural equality of the represented
 Boolean functions is handle equality.
 
 The recursions are built once, not on every call: one and/or/xor apply
-body, ``negate`` and ``cofactor`` once per store, and one
+body, ``ite``, ``negate`` and ``cofactor`` once per store, and one
 ``and_exists`` core per quantified variable set; ``exists`` is that core
 with a ``TRUE`` operand.  They are closures over the store's node arrays
 and tables, never over the store itself.  They look an existing node up
@@ -23,8 +23,8 @@ calling the core.
 Table layout.  Every hot table is a dict from one packed int to a handle:
 
 * the unique table maps ``(v << 32 | t) << 32 | f`` to the node (v, t, f);
-* and, or and xor each have a memo keyed ``a << 32 | b`` (a <= b), and
-  negate one keyed ``a``;
+* and, or and xor each have a memo keyed ``a << 32 | b`` (a <= b),
+  ite one keyed ``(c << 32 | t) << 32 | f`` and negate one keyed ``a``;
 * each quantifier core has its own memo keyed ``a << 32 | b`` (a <= b,
   and ``exists`` keyed with a = ``TRUE``), so the variable set is not
   part of the key;
@@ -71,9 +71,9 @@ class OrderingViolation(Exception):
 def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
     """Build one store's recursions as closures over its containers.
 
-    Returns the node allocator, the and/or/xor apply cores, the negation
-    and cofactor cores, a factory for the and_exists core of one variable
-    set, and the memo tables of the fixed cores.
+    Returns the node allocator, the and/or/xor apply cores, the ite,
+    negation and cofactor cores, a factory for the and_exists core of one
+    variable set, and the memo tables of the fixed cores.
     """
     # With the checks on, every node goes through node() so that each one
     # is checked; otherwise a unique-table hit skips the call.  The cores
@@ -147,9 +147,32 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
     and_ = binary(TRUE, FALSE, True)
     or_ = binary(FALSE, TRUE, True)
     xor = binary(FALSE, -1, False)
+    ite_memo = {}
     not_memo = {}
     cof_memo = {}
-    memos += (not_memo, cof_memo)
+    memos += (ite_memo, not_memo, cof_memo)
+
+    def ite(c: int, t: int, f: int) -> int:
+        if c <= 1:
+            return t if c else f
+        if t == f:
+            return t
+        if t <= 1 and f <= 1:
+            # (TRUE, FALSE) or (FALSE, TRUE)
+            return c if t else negate(c)
+        key = (c << 32 | t) << 32 | f
+        r = ite_memo.get(key)
+        if r is not None:
+            return r
+        vc, vt, vf = var[c], var[t], var[f]
+        v = min(vc, vt, vf)
+        ct, cf = (hi[c], lo[c]) if vc == v else (c, c)
+        tt, tf = (hi[t], lo[t]) if vt == v else (t, t)
+        ft, ff = (hi[f], lo[f]) if vf == v else (f, f)
+        t, f = ite(ct, tt, ft), ite(cf, tf, ff)
+        r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
+        ite_memo[key] = r
+        return r
 
     def negate(a: int) -> int:
         if a <= 1:
@@ -231,7 +254,7 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
 
         return and_exists, memo
 
-    return mk, and_, or_, xor, negate, cofactor, quantifiers, memos
+    return mk, and_, or_, xor, ite, negate, cofactor, quantifiers, memos
 
 
 class NodeStore:
@@ -259,6 +282,7 @@ class NodeStore:
             self._and,
             self._or,
             self._xor,
+            self._ite,
             self._not,
             self._cofactor,
             self._new_quantifiers,
@@ -384,7 +408,7 @@ class NodeStore:
         return self._not(a)
 
     def ite(self, c: int, t: int, f: int) -> int:
-        return self.apply_or(self.apply_and(c, t), self.apply_and(self.negate(c), f))
+        return self._ite(c, t, f)
 
     # ------------------------------------------------------------------
     # quantification

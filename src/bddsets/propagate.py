@@ -22,62 +22,60 @@ remainder is TRUE; a cardinality interval over m free bits fixes a bit
 only if it is [m, m] or [0, 0], and a remainder with no fixed bit has
 neither; and a lexicographic interval fixes exactly the common prefix of
 its minimum and maximum, a prefix that would be fixed in the remainder.
+So a remainder is the fixpoint of its own update, since card and lex
+abstract an interval to itself: _absorb handed it returns at once.
 
 Sticks record exact information, so every mode specialises constraints
 against them: quantifying a cube's bits out of its conjunction with a
-constraint is a cofactor (NodeStore.cofactor).  Sticks of different
-variables range over disjoint bits, so a run cofactors by each stick in
-turn, never building their conjunction; after a run, only by the sticks
-it changed.  In bounds mode every remainder is TRUE, so a bit is fixed in
-the projection of a specialised constraint onto its variable exactly
-when it is fixed in the constraint itself: a bounds run reads the
-constraint's fixed literals into the sticks and projects nothing.
+constraint is a cofactor.  Sticks of different variables range over
+disjoint bits, so a run cofactors by each stick in turn.  In bounds mode
+every remainder is TRUE, so a bit is fixed in the projection of a
+specialised constraint onto its variable exactly when it is fixed in the
+constraint itself: a bounds run reads the constraint's fixed literals
+into the sticks and projects nothing.
 
 Projection divides the scope in halves and quantifies a half away one
 variable at a time: each step is one and_exists over that variable's bits
 that also conjoins its remainder.  A remainder mentions only its own
 variable's bits, so this is exact early quantification over a
-conjunctively partitioned product (Burch, Clarke & Long, 1991), and the
-product of a half's remainders is never built.
+conjunctively partitioned product (Burch, Clarke & Long, 1991).
 
 A constraint c is retired, replaced by TRUE, once running it again
 cannot change a domain: when specialising it leaves TRUE, and, in domain
 and split modes, which absorb projections exactly, once at most one scope
 variable is unfixed.  The domains D then imply c, so c /\\ D' = D' for
-every D' <= D, and undo restores c.  Bounds, card and lex abstract the
-projection, so there only specialising to TRUE retires c.
+every D' <= D, and undo restores c.
 
 All propagators are monotone, hence the fixpoint reached is independent
-of queue order.  Every change to a domain or a constraint is trailed as
-(array, index, old handle) so search can backtrack, and whole propagator
-runs are memoised so revisiting a search node is nearly free.  The memo
-maps one packed int (the constraint's index ci, then each scope variable's
-stick and remainder, 32 bits per handle) to one packed int (the
-constraint after the run and the scope domains, or -1 for a failure), so
-the cycle collector never tracks it.  The index names the constraint
-exactly: a cons[ci] that is not TRUE is the original constraint
-cofactored by older sticks of its scope, each implied by the current one,
-and a run first cofactors it by the current sticks, so what the run does
-depends only on ci and the scope's domains.
+of queue order.  Every change is trailed so search can backtrack, and
+whole runs are memoised.  The run memo maps one packed int (the index ci,
+then each scope variable's stick and remainder in scope order, 32 bits
+per handle) to -1 for a failure, or to one packed int in the same layout:
+the constraint after the run, then the domains it left; with ints alone
+the cycle collector never tracks it.  A replay whose domains are the
+key's restores only the constraint.  The index names the
+constraint exactly, since by the invariants below a run's result depends
+only on ci and the scope's domains.
 
 The run memo also holds each domain update of _absorb, keyed
 (delta << 32 | stick) << 32 | vi, in [2**64, 2**96), with value
-new stick << 32 | new remainder.  For one store and mode the update is a
-pure function of those three: the free bits are vi's bits minus the
-stick's literals, and vi is in the key because delta = stick = TRUE names
-no variable.  An update cannot fail, since a projection is satisfiable
-and mentions only vi's unfixed bits.  A run key is 2**32 | ci for an
-empty scope, or at least 2**96, so the kinds never collide, and sharing
-the table lets maintain() bound and drop update entries with the runs: a
-recycled handle never returns through a hit.
+new stick << 32 | new remainder: for one store and mode the update is a
+pure function of those three (vi is there because delta = stick = TRUE
+names no variable).  An update cannot fail, since a projection
+is satisfiable and mentions only vi's unfixed bits.  A run key is
+2**32 | ci for an empty scope, or at least 2**96, so the kinds never
+collide, and maintain() drops both together: a recycled handle never
+returns through a hit.
 
-Every constraint that is neither TRUE nor on the queue is at its
-fixpoint.  Four rules keep this invariant: State() queues every such one;
-a run wakes the watchers of each variable it changes except its own
-constraint, which it leaves at its fixpoint; a run that fails or is cut
-short by an exception puts its constraint back on the queue, so a failed
-state stays failed until an undo; and undo() restores the queue that
-mark() saw.
+Every constraint that is neither TRUE nor on the queue is at its fixpoint
+and specialised by its scope's sticks: a cofactor by one changes nothing.
+A queued one that one variable v alone woke is specialised by every stick
+but v's.  State() queues every constraint; a run wakes the watchers of
+each variable it changes except its own constraint, which it leaves at
+its fixpoint, cofactored by the sticks it changed; a replay restores what
+a run left; a run that fails or is cut short by an exception queues its
+constraint again, so a failed state stays failed until an undo; and
+undo() restores the constraints and the queue that mark() saw.
 
 A run is at its own fixpoint in every mode.  Let P_x be the projection of
 the constraint conjoined with the product of the domains D onto scope
@@ -85,24 +83,21 @@ variable x.  After the run P_x <= D'_x <= D_x for every x: domain and
 split keep P_x, and the bounds, card and lex abstractions contain it and
 lie within D_x.  Every tuple supporting a value of P_x lies in the
 product of the P, hence of the D', so a second run would project the
-same P_x and absorb the same domains.  It would only specialise the
-constraint to the sticks the first run extended, retiring it on TRUE, so
-the run does that itself and ends where a second one would (Schulte &
-Stuckey, "Efficient Constraint Propagation Engines", TOPLAS 2008, on
-idempotent propagators).  A constraint the run retires is TRUE, so it
-is never queued again.
+same P_x and absorb the same domains, and only specialise the constraint
+to the new sticks (Schulte & Stuckey, "Efficient Constraint Propagation
+Engines", TOPLAS 2008, on idempotent propagators).
 
 A queued constraint records the variable that woke it, or -1 when more
-than one did or it was queued otherwise.  Projection is idempotent, so
-once a constraint is at its fixpoint, shrinking only v's domain leaves
-its projection onto v equal to that domain: domain and split modes,
-which absorb projections exactly, skip that projection.  Bounds, card
-and lex never skip, since there a stick can prune its own variable: with
-c = not(x1 and x2), fixing x1 fixes x2 through c.
+than one did or it was queued otherwise.  A run woken by v alone
+cofactors its constraint by v's stick alone, which by the invariant gives
+the handle that cofactoring by every stick gives.  Projection is
+idempotent, so shrinking only v's domain leaves the projection onto v
+equal to that domain: domain and split modes skip that projection.
+Bounds, card and lex never skip it, since there a stick can prune its own
+variable: with c = not(x1 and x2), fixing x1 fixes x2 through c.
 
 Precondition: each constraint's BDD mentions only bits of the variables
-in its scope.  State() checks this once and raises ValueError otherwise,
-so a projection onto one variable needs no further quantification.
+in its scope.  State() checks this once and raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -263,11 +258,10 @@ class State:
 
     def _wake(self, vi):
         """Queue the watchers of variable vi but the running constraint."""
-        why = vi if self._exact else -1
         running = self._running
         for ci in self.watch[vi]:
             if ci != running:
-                self.enqueue(ci, why)
+                self.enqueue(ci, vi)
 
     # -- domain updates ------------------------------------------------
 
@@ -285,6 +279,10 @@ class State:
         stick, and the card or lex bound of a satisfiable remainder is
         satisfiable.
         """
+        if delta == self.rem[vi]:
+            # a remainder is the fixpoint of its own update (see the
+            # module docstring)
+            return
         # delta, vi's stick and vi determine the update; its key never meets
         # a run key, so the run memo holds it (see the module docstring)
         key = (delta << 32 | self.stick[vi]) << 32 | vi
@@ -333,6 +331,7 @@ class State:
         finished before the right one is started.
         """
         store, rem, bitsets = self.store, self.rem, self.bitsets
+        and_, and_exists = store.apply_and, store.and_exists
         out = {}
         stack = [(phi, list(scope), ())]
         while stack:
@@ -340,9 +339,17 @@ class State:
             if len(keep) == 1 and keep[0] == skip:
                 continue
             for vi in reversed(drop):
-                p = store.and_exists(bitsets[vi], p, rem[vi])
+                p = and_exists(bitsets[vi], p, rem[vi])
             if len(keep) == 1:
-                out[keep[0]] = store.apply_and(p, rem[keep[0]])
+                out[keep[0]] = and_(p, rem[keep[0]])
+                continue
+            if len(keep) == 2:
+                # both leaves at once, in the order the halves would take
+                a, b = keep
+                if a != skip:
+                    out[a] = and_(and_exists(bitsets[b], p, rem[b]), rem[a])
+                if b != skip:
+                    out[b] = and_(and_exists(bitsets[a], p, rem[a]), rem[b])
                 continue
             m = len(keep) // 2
             left, right = keep[:m], keep[m:]
@@ -359,8 +366,8 @@ class State:
         return len(self.store.cube_literals(self.stick[vi])) == len(self.bits[vi])
 
     def _run(self, ci, skip) -> bool:
-        """Run constraint ci, skipping the projection onto variable skip
-        (-1: none) and its absorption."""
+        """Run constraint ci, woken by variable skip alone (-1: by more, or
+        queued otherwise)."""
         scope = self.scopes[ci]
         # the leading 1 keeps keys of scopes of different lengths apart;
         # ci stands for its constraint (see the module docstring)
@@ -370,17 +377,20 @@ class State:
             self.cache_hits += 1
             if cached < 0:
                 return False
-            self._set(self.cons, ci, cached >> 64 * len(scope))
-            for vi in scope:
-                self._put(vi, cached >> 32 & 0xFFFFFFFF, cached & 0xFFFFFFFF)
-                cached >>= 64
+            shift = 64 * len(scope)
+            self._set(self.cons, ci, cached >> shift)
+            # the domains follow in the key's layout: put them only if the
+            # run changed one
+            if (cached ^ key) & ((1 << shift) - 1):
+                for vi in scope:
+                    shift -= 64
+                    self._put(vi, cached >> shift + 32 & 0xFFFFFFFF, cached >> shift & 0xFFFFFFFF)
             return True
         self.runs += 1
         if not self._propagator(ci, skip):
             self._prop_cache[key] = -1
             return False
-        # packed in reverse, so the replay above unpacks in scope order
-        self._prop_cache[key] = self._pack(self.cons[ci], reversed(scope))
+        self._prop_cache[key] = self._pack(self.cons[ci], scope)
         return True
 
     def _pack(self, head, scope):
@@ -392,8 +402,8 @@ class State:
         return head
 
     def _specialise(self, ci, sticks) -> int:
-        """Cofactor constraint ci by each of sticks in turn (after a run, by
-        the sticks it changed); TRUE retires it, FALSE is not stored."""
+        """Cofactor constraint ci by each of sticks in turn; TRUE retires
+        it, FALSE is not stored."""
         phi = self.cons[ci]
         cofactor = self.store.cofactor
         for s in sticks:
@@ -409,7 +419,10 @@ class State:
         scope = self.scopes[ci]
         stick = self.stick
         before = [stick[vi] for vi in scope]
-        phi = self._specialise(ci, [s for s in before if s != TRUE])
+        # woken by one variable alone, ci is specialised by every other
+        # stick of its scope already (see the module docstring)
+        sticks = before if skip < 0 else [stick[skip]]
+        phi = self._specialise(ci, [s for s in sticks if s != TRUE])
         if phi == FALSE:
             return False
         if phi == TRUE:
@@ -417,6 +430,8 @@ class State:
         if self.mode == "bounds":
             self._bounds_run(ci, phi)
             return True
+        if not self._exact:
+            skip = -1
         deltas = self._project(phi, scope, skip)
         if deltas is None:
             return False

@@ -323,7 +323,7 @@ def test_report_row_solve(tmp_path):
         "fails": 47,
         "nodes": 94,
         "optimum": "",
-        "peak_nodes": 8542,
+        "peak_nodes": 7980,
     }
 
 
@@ -339,7 +339,7 @@ def test_report_row_optimize(tmp_path):
         "fails": 6,
         "nodes": "",
         "optimum": 2,
-        "peak_nodes": 895,
+        "peak_nodes": 829,
     }
 
 

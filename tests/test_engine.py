@@ -436,6 +436,7 @@ def test_hot_tables_stay_untracked_by_the_cycle_collector(rng):
                 store.apply_and(a, b),
                 store.apply_or(a, b),
                 store.apply_xor(a, b),
+                store.ite(a, b, store.negate(b)),
                 store.negate(a),
                 store.exists(qs, a),
                 store.and_exists(qs, a, b),
@@ -448,8 +449,8 @@ def test_hot_tables_stay_untracked_by_the_cycle_collector(rng):
     gc.collect()
     ops(40)
     tables = hot_tables(store)
-    # the unique table and the five fixed memos, then the quantifier memos
-    assert all(tables[:6]) and any(tables[6:])
+    # the unique table and the six fixed memos, then the quantifier memos
+    assert all(tables[:7]) and any(tables[7:])
     assert not any(map(gc.is_tracked, tables))
 
 

@@ -277,8 +277,9 @@ def test_hamming_pair_constraint_matches_adder_form(l, d, w):
 
 
 def test_hamming_build_node_count():
-    # the card_formulas form makes no adder or comparator nodes
-    assert build_hamming(HammingSpec(9, 4, 7, n=5)).store.node_count() == 2465
+    # the card_formulas form makes no adder or comparator nodes, and the
+    # native ite no intermediate and-products
+    assert build_hamming(HammingSpec(9, 4, 7, n=5)).store.node_count() == 1715
 
 
 def test_hamming_solution_valid():

@@ -465,7 +465,7 @@ def test_a_run_wakes_the_other_watchers_but_not_itself(mode):
     ]
     st = State(store, [x, y, z], cons, mode=mode)
     assert st.propagate()
-    woken = st.var_index(y) if mode in ("domain", "split") else -1
+    woken = st.var_index(y)
     start = st.mark()
     for hits in (0, 1):
         assert st.assign(x, 1, True) and list(st.queue) == [0]
@@ -478,6 +478,31 @@ def test_a_run_wakes_the_other_watchers_but_not_itself(mode):
         assert list(st.queue) == [1] and st._why == [None, woken]
         assert st.fixed_bit_values(y)[y.bit(1)] is True
         st.undo(start)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_replay_that_changes_no_domain_restores_only_its_constraint(mode):
+    # 1 in y specialises x subseteq y but prunes neither domain; replayed
+    # from the run memo, the run puts no domain, so it trails only the
+    # constraint and queues nothing
+    store = NodeStore()
+    x, y = alloc_set_vars(store, Universe(3), ["x", "y"])
+    st = State(store, [x, y], [ConstraintBdd(subseteq(store, x, y), (x, y))], mode=mode)
+    assert st.propagate()
+    start = st.mark()
+    assert st.assign(y, 1, True)
+    domains = (list(st.stick), list(st.rem))
+    assert st.propagate() and st.cache_hits == 0
+    spec = st.cons[0]
+    assert (list(st.stick), list(st.rem)) == domains and spec != TRUE
+    st.undo(start)
+    assert st.assign(y, 1, True)
+    size = len(st.trail)
+    with mock.patch.object(st, "_put", side_effect=AssertionError("a domain was put")):
+        assert st.propagate() and st.cache_hits == 1
+    assert [a is st.cons for a, _, _ in st.trail[size:]] == [True]
+    assert st.cons[0] == spec and not st.queue
+    assert (list(st.stick), list(st.rem)) == domains
 
 
 @pytest.mark.parametrize("mode", ["bounds", "card", "lex"])

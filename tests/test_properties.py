@@ -10,7 +10,9 @@ op whose operands survived but whose result was swept is done again, so a
 stale handle coming back through the op cache, or a core that lost track
 of the store's containers, shows as a wrong table, a swept node or a
 second handle for one function.  A cofactor by a random cube must also
-equal and_exists over the cube's bits, and at the end of every program
+equal and_exists over the cube's bits, and ite of three operands from the
+pool, which share variables as the intexpr adders' operands do, must equal
+the or of two ands it replaces.  At the end of every program
 the unique table and the memo tables must still be untracked by the
 cycle collector.
 
@@ -23,8 +25,9 @@ levels in reverse must restore every domain, constraint and the queue,
 each entry with what woke it, exactly, with every restored handle still a
 live node.
 
-The propagation properties check State._project against quantifying the
-conjunction of a random constraint and random domains by brute force;
+The propagation properties check State._project, with or without a
+skipped variable, against quantifying the conjunction of a random
+constraint and random domains by brute force;
 that every constraint retired during random walks of decisions and undos
 is implied by its scope's domains, so running it again would change
 nothing; and that after the same decisions the five modes are ordered by
@@ -39,7 +42,10 @@ over walks that mark the trail with constraints queued and that run out
 of time mid-propagation.  In every mode, over the same walks, running
 any constraint but TRUE off the queue again must change no stick,
 remainder or constraint, since no run queues its own
-constraint again, and no remainder may fix a bit; and a bounds run, which reads the fixed literals of
+constraint again, and no remainder may fix a bit; every constraint but
+TRUE must be unchanged by a cofactor by any stick of its scope, but a
+lone waker's while it is queued; absorbing a variable's own remainder
+must change nothing, the run memo included; and a bounds run, which reads the fixed literals of
 the specialised constraint, must match projecting by brute force and
 splitting each projection.  Cofactoring a function by cubes over
 disjoint bits one at a time, in any order, must equal cofactoring it by
@@ -99,6 +105,7 @@ cofactor_step = st.tuples(
     st.dictionaries(st.integers(min_value=0, max_value=NVARS - 1), st.booleans()),
     operand,
 )
+ite_step = st.tuples(st.just("ite"), operand, operand, operand)
 
 TABLE_OPS = {
     "and": lambda x, y: x and y,
@@ -167,6 +174,10 @@ def run_program(store, steps):
             # the cube is rebuilt on each call, so a collection cannot sweep it
             call = partial(cofactor_as_and_exists, store, a, lits)
             want = exists_table(tuple(x and y for x, y in zip(ta, tc)), lits, NVARS)
+        elif kind == "ite":
+            (c, tc), (a, ta), (b, tb) = pick(args[0]), pick(args[1]), pick(args[2])
+            operands, call = (c, a, b), partial(ite_as_or_of_ands, store, c, a, b)
+            want = tuple(y if x else z for x, y, z in zip(tc, ta, tb))
         else:
             (a, ta), (b, tb) = pick(args[0]), pick(args[1])
             operands, call = (a, b), partial(getattr(store, f"apply_{kind}"), a, b)
@@ -187,6 +198,13 @@ def cofactor_as_and_exists(store, a, lits):
     return r
 
 
+def ite_as_or_of_ands(store, c, t, f):
+    """ite(c, t, f), checked against or(and(c, t), and(not c, f))."""
+    r = store.ite(c, t, f)
+    assert r == store.apply_or(store.apply_and(c, t), store.apply_and(store.negate(c), f))
+    return r
+
+
 @pytest.mark.parametrize("debug_checks", [False, True])
 @PROPERTY_SETTINGS
 @given(steps=st.lists(step, min_size=4, max_size=40))
@@ -198,6 +216,13 @@ def test_kernel_ops_match_truth_tables_under_gc(debug_checks, steps):
 @PROPERTY_SETTINGS
 @given(steps=st.lists(st.one_of(step, cofactor_step), min_size=4, max_size=40))
 def test_cofactor_is_and_exists_of_the_cube_under_gc(debug_checks, steps):
+    run_program(NodeStore(debug_checks=debug_checks), steps)
+
+
+@pytest.mark.parametrize("debug_checks", [False, True])
+@PROPERTY_SETTINGS
+@given(steps=st.lists(st.one_of(step, ite_step), min_size=4, max_size=40))
+def test_ite_is_or_of_ands_under_gc(debug_checks, steps):
     run_program(NodeStore(debug_checks=debug_checks), steps)
 
 
@@ -294,11 +319,14 @@ def function_of(store, bits, cubes):
     size=st.integers(min_value=2, max_value=5),
     phi=st.lists(dnf, min_size=1, max_size=2),
     domains=st.lists(dnf, min_size=5, max_size=5),
+    skip=st.integers(min_value=-1, max_value=4),
 )
-def test_project_matches_brute_force(universe, order, size, phi, domains):
+def test_project_matches_brute_force(universe, order, size, phi, domains, skip):
+    # skip is a scope variable, whose projection is left out, or -1
     store = NodeStore()
     s = State(store, alloc_set_vars(store, Universe(universe), "abcde"), [])
     scope = tuple(order[:size])
+    skip = scope[skip % size] if skip >= 0 else -1
     scope_bits = [b for vi in scope for b in s.bits[vi]]
     # a conjunction of two disjunctions may be FALSE
     p = store.conjoin(function_of(store, scope_bits, f) for f in phi)
@@ -308,8 +336,9 @@ def test_project_matches_brute_force(universe, order, size, phi, domains):
     want = {
         vi: store.apply_and(store.exists(set(scope_bits) - s.bitsets[vi], conj), s.rem[vi])
         for vi in scope
+        if vi != skip
     }
-    got = s._project(p, scope)
+    got = s._project(p, scope, skip)
     if FALSE in want.values():
         assert got is None
     else:
@@ -466,6 +495,46 @@ def check_own_fixpoint(s):
             after = (list(s.stick), list(s.rem), list(s.cons))
             s.undo(m)
             assert after == before[:3], ci
+
+
+def check_specialised(s):
+    """Every constraint but TRUE is specialised by its scope's sticks: a
+    cofactor by one leaves it unchanged, by any of them if it is off the
+    queue, and by any but the waker's if one variable alone woke it."""
+    cofactor = s.store.cofactor
+    for ci, scope in enumerate(s.scopes):
+        why = s._why[ci]
+        if s.cons[ci] != TRUE and why != -1:
+            for vi in scope:
+                if vi != why:
+                    assert cofactor(s.cons[ci], s.stick[vi]) == s.cons[ci], (ci, vi)
+
+
+# a run cofactors its constraint by its lone waker's stick alone, which is
+# exact only while this holds
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(steps=wake_steps)
+def test_constraints_stay_specialised_by_their_sticks(mode, steps):
+    s = trail_problem(mode)
+    walk(s, steps, partial(check_specialised, s))
+
+
+def check_identity_absorb(s):
+    """Absorbing a variable's own remainder changes nothing: no domain,
+    trail entry, queue entry or memo entry."""
+    for vi in range(len(s.vars)):
+        before = state_of(s), list(s.trail), dict(s._prop_cache)
+        s._absorb(vi, s.rem[vi])
+        assert (state_of(s), list(s.trail), dict(s._prop_cache)) == before, vi
+
+
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(steps=walk_steps)
+def test_absorbing_a_remainder_is_the_identity(mode, steps):
+    s = trail_problem(mode)
+    walk(s, steps, partial(check_identity_absorb, s))
 
 
 # no run queues its own constraint again, so each must leave it at its
