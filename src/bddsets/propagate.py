@@ -331,7 +331,6 @@ class State:
         finished before the right one is started.
         """
         store, rem, bitsets = self.store, self.rem, self.bitsets
-        and_, and_exists = store.apply_and, store.and_exists
         out = {}
         stack = [(phi, list(scope), ())]
         while stack:
@@ -339,17 +338,9 @@ class State:
             if len(keep) == 1 and keep[0] == skip:
                 continue
             for vi in reversed(drop):
-                p = and_exists(bitsets[vi], p, rem[vi])
+                p = store.and_exists(bitsets[vi], p, rem[vi])
             if len(keep) == 1:
-                out[keep[0]] = and_(p, rem[keep[0]])
-                continue
-            if len(keep) == 2:
-                # both leaves at once, in the order the halves would take
-                a, b = keep
-                if a != skip:
-                    out[a] = and_(and_exists(bitsets[b], p, rem[b]), rem[a])
-                if b != skip:
-                    out[b] = and_(and_exists(bitsets[a], p, rem[a]), rem[b])
+                out[keep[0]] = store.apply_and(p, rem[keep[0]])
                 continue
             m = len(keep) // 2
             left, right = keep[:m], keep[m:]

@@ -90,18 +90,17 @@ def solve(
     deadline = None if time_limit is None else t0 + time_limit
 
     def pick():
-        cands = (vi for vi in order if not state.is_determined(vi))
+        cands = [vi for vi in order if not state.is_determined(vi)]
+        if not cands:
+            return None
         if strategy.var_order == "first_fail":
             # fewest unfixed bits, ties by declaration order
             vi = min(
                 cands,
                 key=lambda i: len(state.bits[i]) - len(state.fixed_bit_values(i)),
-                default=None,
             )
         else:
-            vi = next(cands, None)
-        if vi is None:
-            return None
+            vi = cands[0]
         fixed = state.fixed_bit_values(vi)
         unfixed = [i for i, b in enumerate(state.bits[vi]) if b not in fixed]
         pos = max(unfixed) if strategy.value_order == "largest" else min(unfixed)
