@@ -19,7 +19,7 @@ from .engine import NodeLimitExceeded
 from .instances import InstanceError, parse_instance, build_from_instance
 from .models import STRATEGIES, build_hamming
 from .propagate import MODES, State
-from .search import Strategy, optimize_incremental, solve
+from .search import VALUE_ORDERS, Strategy, optimize_incremental, solve
 
 REPORT_VERSION = 1
 
@@ -76,7 +76,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="path to an instance file")
     p.add_argument("--mode", choices=MODES, default="domain")
     p.add_argument("--var-order", choices=sorted(_VAR_ORDER_FLAGS), default=None)
-    p.add_argument("--value-order", choices=["largest", "smallest"], default=None)
+    p.add_argument("--value-order", choices=VALUE_ORDERS, default=None)
     p.add_argument("--branch", choices=sorted(_BRANCH_FLAGS), default=None)
     p.add_argument("--target", choices=["first", "all", "optimize"], default="first")
     p.add_argument("--max-solutions", type=_at_least(int, 1), default=None)
@@ -136,6 +136,9 @@ def run(args, out=None) -> int:
             parsed = parse_instance(fh.read())
     except (OSError, InstanceError) as exc:
         print(f"bddsets: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"bddsets: {args.instance} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
 
     emitter = _Emitter(args.fmt, sys.stdout if out is None else out)

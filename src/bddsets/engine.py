@@ -9,8 +9,9 @@ The recursions are built once, not on every call: one and/or/xor apply
 body, ``ite``, ``negate`` and ``cofactor`` once per store, and one
 ``and_exists`` core per quantified variable set; ``exists`` is that core
 with a ``TRUE`` operand.  They are closures over the store's node arrays
-and tables, never over the store itself.  They look an existing node up
-in the unique table directly and call the node allocator only on a miss.
+and tables, never over the store itself, so those containers are cleared
+in place and never rebound.  They look an existing node up in the unique
+table directly and call the node allocator only on a miss.
 The quantifier cores fuse the disjunction of a quantified level: they
 call the OR core directly and skip the else-branch once the then-branch
 is ``TRUE`` (Brace, Rudell & Bryant, "Efficient Implementation of a BDD
@@ -38,14 +39,6 @@ memo entries whose values are not handles share one side table,
 fixed literals and tag 2 the fewest true and the fewest false literals
 on a 1-path from n (both for :mod:`bddsets.analysis`).  Handles and
 variables must stay below 2**32.
-
-Long-running searches can reclaim dead nodes with
-:meth:`NodeStore.collect_garbage`, which sweeps everything unreachable
-from a caller-supplied root set and recycles the freed table slots; every
-memo table is cleared and the quantifier cores are dropped in the same
-stroke (:meth:`NodeStore.clear_cache`), so stale handles can never
-resurface through a memo hit.  The cores hold on to the store's
-containers, so those are cleared in place and never rebound.
 """
 
 from __future__ import annotations
@@ -69,12 +62,7 @@ class OrderingViolation(Exception):
 
 
 def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
-    """Build one store's recursions as closures over its containers.
-
-    Returns the node allocator, the and/or/xor apply cores, the ite,
-    negation and cofactor cores, a factory for the and_exists core of one
-    variable set, and the memo tables of the fixed cores.
-    """
+    """Build one store's recursions as closures over its containers."""
     # With the checks on, every node goes through node() so that each one
     # is checked; otherwise a unique-table hit skips the call.  The cores
     # pass the key they probed with, so a miss packs it only once.
@@ -275,7 +263,6 @@ class NodeStore:
         # the side table: memo entries whose values are not handles
         self._cache: dict = {}
         self._num_vars = 0
-        self.node_limit = node_limit
         self.debug_checks = debug_checks
         (
             self._mk,

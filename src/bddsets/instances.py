@@ -68,8 +68,8 @@ def parse_instance(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("course ") or line == "course":
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "course":
             if len(parts) < 3:
                 raise InstanceError(f"line {lineno}: course lines need an id and a load")
             cid = _parse_int(parts[1], "course id")

@@ -9,6 +9,7 @@ the solver.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from math import comb
@@ -130,14 +131,12 @@ def build_steiner(spec: SteinerSpec, merged=True, node_limit=None) -> Model:
         constraints=cons,
         branch_vars=svars,
         strategy=STRATEGIES["steiner"],
-        meta={"spec": spec, "merged": merged, "set_vars": svars},
+        meta={"set_vars": svars},
     )
 
 
 def steiner_valid(spec: SteinerSpec, blocks) -> bool:
     """Every t-subset of the universe lies in exactly one block."""
-    import itertools
-
     blocks = [frozenset(b) for b in blocks]
     if len(blocks) != spec.blocks:
         return False
@@ -214,14 +213,12 @@ def build_golfers(spec: GolfersSpec, node_limit=None) -> Model:
         constraints=cons,
         branch_vars=list(vs),
         strategy=STRATEGIES["golfers"],
-        meta={"spec": spec, "set_vars": list(vs), "weeks": week},
+        meta={"set_vars": list(vs), "weeks": week},
     )
 
 
 def golfers_valid(spec: GolfersSpec, weeks) -> bool:
     """weeks: list (per week) of lists of golfer sets."""
-    import itertools
-
     all_g = set(range(1, spec.golfers + 1))
     pairs = set()
     for groups in weeks:
@@ -295,13 +292,11 @@ def build_hamming(spec: HammingSpec, node_limit=None) -> Model:
         constraints=cons,
         branch_vars=list(vs),
         strategy=STRATEGIES["hamming"],
-        meta={"spec": spec, "set_vars": list(vs)},
+        meta={"set_vars": list(vs)},
     )
 
 
 def hamming_valid(spec: HammingSpec, words) -> bool:
-    import itertools
-
     words = [frozenset(w) for w in words]
     if any(len(w) != spec.w for w in words):
         return False
@@ -352,7 +347,15 @@ class BacpSpec:
         return len(self.loads)
 
 
-BACP_VARIANTS = ("primal", "dual", "hybrid_primal", "hybrid_dual")
+# the constraint groups of each variant; a model builds its groups in the
+# order S1..S4, CX, X1, X2, CI1, CI2, I1..I4
+BACP_GROUPS = {
+    "primal": ("S1", "S2", "S3", "S4"),
+    "dual": ("S2", "S3", "CX", "X1", "X2"),
+    "hybrid_primal": ("S1", "S4", "CI1", "CI2", "I1", "I2", "I3", "I4"),
+    "hybrid_dual": ("CX", "X1", "X2", "CI1", "CI2", "I1", "I2", "I3", "I4"),
+}
+BACP_VARIANTS = tuple(BACP_GROUPS)
 
 
 def build_bacp(spec: BacpSpec, variant="hybrid_dual", node_limit=None) -> Model:
@@ -360,53 +363,41 @@ def build_bacp(spec: BacpSpec, variant="hybrid_dual", node_limit=None) -> Model:
 
     Period sets S_i hold course numbers; course sets X_i hold the single
     period of course i; l_i and q_i are integer load and count channels.
-    Variants assemble the constraint groups exactly as named:
-      primal        {S1,S2,S3,S4}
-      dual          {S2,S3,CX,X1,X2}
-      hybrid_dual   {CX,X1,X2,CI1,CI2,I1,I2,I3,I4}
-      hybrid_primal {S1,S4,CI1,CI2,I1,I2,I3,I4}
+    The variant picks the constraint groups of BACP_GROUPS.
     """
     if variant not in BACP_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
+    use = BACP_GROUPS[variant]
     store = NodeStore(node_limit=node_limit)
     m, n = spec.courses, spec.periods
-    course_u = Universe(m)
-    period_u = Universe(n)
-    svars = alloc_set_vars(store, course_u, [f"S{i + 1}" for i in range(n)])
-    need_x = variant in ("dual", "hybrid_dual")
-    need_ints = variant in ("hybrid_primal", "hybrid_dual")
-    xvars = (
-        alloc_set_vars(store, period_u, [f"X{i + 1}" for i in range(m)])
-        if need_x
-        else []
-    )
-    lvars = qvars = []
-    if need_ints:
-        lw = bits_needed(spec.load_max)
-        qw = bits_needed(spec.courses_max)
+    svars = alloc_set_vars(store, Universe(m), [f"S{i + 1}" for i in range(n)])
+    xvars, lvars, qvars = [], [], []
+    if "CX" in use:  # every variant with X1 or X2 has CX
+        xvars = alloc_set_vars(store, Universe(n), [f"X{i + 1}" for i in range(m)])
+    if "CI1" in use:  # every variant with CI2 or I1..I4 has CI1
+        lw, qw = bits_needed(spec.load_max), bits_needed(spec.courses_max)
         lvars = alloc_int_vars(store, [f"l{i + 1}" for i in range(n)], lw)
         qvars = alloc_int_vars(store, [f"q{i + 1}" for i in range(n)], qw)
     weights = list(spec.loads)
     cons = []
 
-    def s1():
-        cons.append(ConstraintBdd(partition(store, svars), tuple(svars), "S1"))
+    def between(x, lo, hi):
+        return store.apply_and(int_le(store, const_expr(lo), x), int_le(store, x, const_expr(hi)))
 
-    def s2():
+    def total(s, ws):
+        return wsum(store, set_bundles(store, s), ws)
+
+    if "S1" in use:
+        cons.append(ConstraintBdd(partition(store, svars), tuple(svars), "S1"))
+    if "S2" in use:
         for i, s in enumerate(svars):
             bdd = card(store, s.bits, spec.courses_min, spec.courses_max)
             cons.append(ConstraintBdd(bdd, (s,), f"S2_{i + 1}"))
-
-    def s3():
-        lo, hi = const_expr(spec.load_min), const_expr(spec.load_max)
+    if "S3" in use:
         for i, s in enumerate(svars):
-            ws = wsum(store, set_bundles(store, s), weights)
-            bdd = store.apply_and(int_le(store, lo, ws), int_le(store, ws, hi))
+            bdd = between(total(s, weights), spec.load_min, spec.load_max)
             cons.append(ConstraintBdd(bdd, (s,), f"S3_{i + 1}"))
-
-    def s4():
-        if not spec.prereqs:
-            return
+    if "S4" in use and spec.prereqs:
         for i in range(n):
             for j in range(i + 1):
                 bdd = store.conjoin(
@@ -415,8 +406,7 @@ def build_bacp(spec: BacpSpec, variant="hybrid_dual", node_limit=None) -> Model:
                 )
                 scope = (svars[i],) if i == j else (svars[i], svars[j])
                 cons.append(ConstraintBdd(bdd, scope, f"S4_{i + 1}_{j + 1}"))
-
-    def cx():
+    if "CX" in use:
         # one channeling constraint per course, touching bit i of every
         # period set and the whole of X_i
         for i, x in enumerate(xvars):
@@ -425,90 +415,44 @@ def build_bacp(spec: BacpSpec, variant="hybrid_dual", node_limit=None) -> Model:
                 for j, s in enumerate(svars)
             )
             cons.append(ConstraintBdd(bdd, (x,) + tuple(svars), f"CX_{i + 1}"))
-
-    def x1():
+    if "X1" in use:
         for x in xvars:
             cons.append(ConstraintBdd(card_eq(store, x, 1), (x,), f"|{x.name}|=1"))
-
-    def x2():
+    if "X2" in use:
         # a prerequisite must sit in a strictly earlier period; smaller
         # period index means lexicographically larger singleton
         for c, p in spec.prereqs:
-            cons.append(
-                ConstraintBdd(
-                    lexlt(store, xvars[c - 1], xvars[p - 1]),
-                    (xvars[c - 1], xvars[p - 1]),
-                    f"X2_{c}_{p}",
-                )
-            )
-
-    def ci1():
-        for s, l in zip(svars, lvars):
-            ws = wsum(store, set_bundles(store, s), weights)
-            cons.append(
-                ConstraintBdd(int_eq(store, ws, l.expr), (s, l), f"CI1_{l.name}")
-            )
-
-    def ci2():
-        for s, q in zip(svars, qvars):
-            ws = wsum(store, set_bundles(store, s), [1] * m)
-            cons.append(
-                ConstraintBdd(int_eq(store, ws, q.expr), (s, q), f"CI2_{q.name}")
-            )
-
-    def i1():
-        lo, hi = const_expr(spec.load_min), const_expr(spec.load_max)
-        for l in lvars:
-            bdd = store.apply_and(
-                int_le(store, lo, l.expr), int_le(store, l.expr, hi)
-            )
-            cons.append(ConstraintBdd(bdd, (l,), f"I1_{l.name}"))
-
-    def i2():
-        lo, hi = const_expr(spec.courses_min), const_expr(spec.courses_max)
-        for q in qvars:
-            bdd = store.apply_and(
-                int_le(store, lo, q.expr), int_le(store, q.expr, hi)
-            )
-            cons.append(ConstraintBdd(bdd, (q,), f"I2_{q.name}"))
-
-    def _sum_eq(vs, total, name):
-        acc = ()
-        for v in vs:
-            acc = plus(store, acc, v.expr)
-        cons.append(
-            ConstraintBdd(int_eq(store, acc, const_expr(total)), tuple(vs), name)
-        )
-
-    def i3():
-        _sum_eq(lvars, sum(weights), "I3")
-
-    def i4():
-        _sum_eq(qvars, m, "I4")
-
-    groups = {
-        "primal": [s1, s2, s3, s4],
-        "dual": [s2, s3, cx, x1, x2],
-        "hybrid_dual": [cx, x1, x2, ci1, ci2, i1, i2, i3, i4],
-        "hybrid_primal": [s1, s4, ci1, ci2, i1, i2, i3, i4],
-    }
-    for g in groups[variant]:
-        g()
-    allvars = list(svars) + list(xvars) + list(lvars) + list(qvars)
-    branch = list(xvars) if need_x else list(svars)
+            x, y = xvars[c - 1], xvars[p - 1]
+            cons.append(ConstraintBdd(lexlt(store, x, y), (x, y), f"X2_{c}_{p}"))
+    # CI1, CI2: each period's load and count channelled into l_i and q_i
+    for group, ivars, ws in (("CI1", lvars, weights), ("CI2", qvars, [1] * m)):
+        if group in use:
+            for s, v in zip(svars, ivars):
+                bdd = int_eq(store, total(s, ws), v.expr)
+                cons.append(ConstraintBdd(bdd, (s, v), f"{group}_{v.name}"))
+    # I1, I2: their ranges; I3, I4: their sums over the periods
+    for group, ivars, lo, hi in (
+        ("I1", lvars, spec.load_min, spec.load_max),
+        ("I2", qvars, spec.courses_min, spec.courses_max),
+    ):
+        if group in use:
+            for v in ivars:
+                cons.append(ConstraintBdd(between(v.expr, lo, hi), (v,), f"{group}_{v.name}"))
+    for group, ivars, want in (("I3", lvars, sum(weights)), ("I4", qvars, m)):
+        if group in use:
+            acc = ()
+            for v in ivars:
+                acc = plus(store, acc, v.expr)
+            bdd = int_eq(store, acc, const_expr(want))
+            cons.append(ConstraintBdd(bdd, tuple(ivars), group))
     return Model(
         store=store,
-        vars=allvars,
+        vars=svars + xvars + lvars + qvars,
         constraints=cons,
-        branch_vars=branch,
+        branch_vars=list(xvars if "CX" in use else svars),
         strategy=STRATEGIES["bacp"],
         meta={
-            "spec": spec,
-            "variant": variant,
-            "period_vars": svars,
-            "course_vars": xvars,
-            "load_vars": lvars,
-            "count_vars": qvars,
+            "period_vars": svars, "course_vars": xvars, "load_vars": lvars, "count_vars": qvars
         },
     )
 

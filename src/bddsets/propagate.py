@@ -34,12 +34,6 @@ specialised constraint onto its variable exactly when it is fixed in the
 constraint itself: a bounds run reads the constraint's fixed literals
 into the sticks and projects nothing.
 
-Projection divides the scope in halves and quantifies a half away one
-variable at a time: each step is one and_exists over that variable's bits
-that also conjoins its remainder.  A remainder mentions only its own
-variable's bits, so this is exact early quantification over a
-conjunctively partitioned product (Burch, Clarke & Long, 1991).
-
 A constraint c is retired, replaced by TRUE, once running it again
 cannot change a domain: when specialising it leaves TRUE, and, in domain
 and split modes, which absorb projections exactly, once at most one scope
@@ -53,29 +47,29 @@ then each scope variable's stick and remainder in scope order, 32 bits
 per handle) to -1 for a failure, or to one packed int in the same layout:
 the constraint after the run, then the domains it left; with ints alone
 the cycle collector never tracks it.  A replay whose domains are the
-key's restores only the constraint.  The index names the
-constraint exactly, since by the invariants below a run's result depends
-only on ci and the scope's domains.
+key's restores only the constraint.  The index names the constraint
+exactly, since by the invariants below a run's result depends only on ci
+and the scope's domains.
 
 The run memo also holds each domain update of _absorb, keyed
 (delta << 32 | stick) << 32 | vi, in [2**64, 2**96), with value
 new stick << 32 | new remainder: for one store and mode the update is a
 pure function of those three (vi is there because delta = stick = TRUE
-names no variable).  An update cannot fail, since a projection
-is satisfiable and mentions only vi's unfixed bits.  A run key is
-2**32 | ci for an empty scope, or at least 2**96, so the kinds never
-collide, and maintain() drops both together: a recycled handle never
-returns through a hit.
+names no variable).  A run key is 2**32 | ci for an empty scope, or at
+least 2**96, so the kinds never collide, and maintain() drops both
+together: a recycled handle never returns through a hit.
 
 Every constraint that is neither TRUE nor on the queue is at its fixpoint
 and specialised by its scope's sticks: a cofactor by one changes nothing.
 A queued one that one variable v alone woke is specialised by every stick
-but v's.  State() queues every constraint; a run wakes the watchers of
-each variable it changes except its own constraint, which it leaves at
-its fixpoint, cofactored by the sticks it changed; a replay restores what
-a run left; a run that fails or is cut short by an exception queues its
-constraint again, so a failed state stays failed until an undo; and
-undo() restores the constraints and the queue that mark() saw.
+but v's.  State() queues every constraint but TRUE; a run wakes the
+watchers of each variable it changes except its own constraint, which it
+leaves at its fixpoint, cofactored by the sticks it changed; a replay
+restores what a run left; a run that fails or is cut short by an
+exception queues its constraint again, so a failed state stays failed
+until an undo; and undo() restores the constraints and the queue that
+mark() saw.  So a queued constraint is never TRUE: nothing queues a TRUE
+one, and only its own run or replay, off the queue, changes it.
 
 A run is at its own fixpoint in every mode.  Let P_x be the projection of
 the constraint conjoined with the product of the domains D onto scope
@@ -95,9 +89,6 @@ idempotent, so shrinking only v's domain leaves the projection onto v
 equal to that domain: domain and split modes skip that projection.
 Bounds, card and lex never skip it, since there a stick can prune its own
 variable: with c = not(x1 and x2), fixing x1 fixes x2 through c.
-
-Precondition: each constraint's BDD mentions only bits of the variables
-in its scope.  State() checks this once and raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -154,7 +145,6 @@ class State:
             for vi in scope:
                 self.watch[vi].append(ci)
         self.trail = []
-        # every constraint but TRUE starts on the queue, none yet run
         self.queue = deque(ci for ci, c in enumerate(self.cons) if c != TRUE)
         # per constraint: None off the queue, else what woke it (a
         # variable, or -1 for several); see the module docstring
@@ -283,8 +273,7 @@ class State:
             # a remainder is the fixpoint of its own update (see the
             # module docstring)
             return
-        # delta, vi's stick and vi determine the update; its key never meets
-        # a run key, so the run memo holds it (see the module docstring)
+        # an update memo key, in the run memo (see the module docstring)
         key = (delta << 32 | self.stick[vi]) << 32 | vi
         new = self._prop_cache.get(key)
         if new is None:
@@ -324,7 +313,9 @@ class State:
         the same and_exists, so every projection costs O(log n) halvings
         and no product of remainders is ever built.  Each remainder
         mentions only its own variable's bits, so this equals quantifying
-        the whole half out of its conjunction.  Returns None on a wipeout.
+        the whole half out of its conjunction: early quantification over
+        a conjunctively partitioned product (Burch, Clarke & Long, 1991).
+        Returns None on a wipeout.
 
         Each stack entry (p, keep, drop) projects p onto the variables of
         keep after quantifying away those of drop; the left half is
@@ -468,12 +459,6 @@ class State:
             ci = queue.popleft()
             skip = why[ci]
             why[ci] = None
-            # a run leaves ci at its fixpoint, so it wakes no watcher of
-            # itself; one that fails or is cut short leaves ci short of
-            # it, so it goes back on the queue.  A queued ci is never
-            # TRUE: State() and enqueue() queue no TRUE constraint, undo()
-            # restores the queue with the constraints, and only ci's own
-            # run or replay changes cons[ci], while _wake skips it
             self._running = ci
             try:
                 if not self._run(ci, skip):

@@ -42,7 +42,6 @@ class SearchResult:
     solutions: list = field(default_factory=list)
     fails: int = 0
     nodes: int = 0
-    seconds: float = 0.0
 
 
 def snapshot(state) -> dict:
@@ -52,8 +51,8 @@ def snapshot(state) -> dict:
     multiset blocks are decoded by their owners.
     """
     out = {}
-    for v in state.vars:
-        fixed = state.fixed_bit_values(state.var_index(v))
+    for vi, v in enumerate(state.vars):
+        fixed = state.fixed_bit_values(vi)
         out[v.name] = frozenset(
             i + 1 for i, b in enumerate(v.bits) if fixed.get(b)
         )
@@ -78,7 +77,7 @@ def solve(
     after the initial propagation (step 0) and after every successful
     labeling step.
     """
-    t0 = time.perf_counter()
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     res = SearchResult(status="unsat")
     if branch_vars is None:
         order = list(range(len(state.vars)))
@@ -86,8 +85,6 @@ def solve(
         order = [state.var_index(v) for v in branch_vars]
         chosen = set(order)
         order += [i for i in range(len(state.vars)) if i not in chosen]
-
-    deadline = None if time_limit is None else t0 + time_limit
 
     def pick():
         cands = [vi for vi in order if not state.is_determined(vi)]
@@ -157,7 +154,6 @@ def solve(
         # final solution's backtrack merely exhausts the tree, so an
         # n-solution run adds n-1 failures to the count
         res.fails += len(res.solutions) - 1
-    res.seconds = time.perf_counter() - t0
     return res
 
 

@@ -11,6 +11,7 @@ from bddsets import cli
 STEINER = "problem = steiner\nt = 2\nk = 3\nn = 7\n"
 GOLFERS = "problem = golfers\nw = 2\ng = 5\ns = 4\n"
 HAMMING = "problem = hamming\nl = 3\nd = 3\nw = 1\n"
+ROOT = Path(__file__).parent.parent
 
 
 def write(tmp_path, text, name="inst.txt"):
@@ -48,7 +49,7 @@ def test_first_solution_report(tmp_path):
 def test_main_writes_to_the_current_stdout(capsys):
     # main() resolves stdout when it runs, so a redirect made after import
     # receives the report
-    path = str(Path(__file__).parent.parent / "instances" / "steiner-2-3-7.txt")
+    path = str(ROOT / "instances" / "steiner-2-3-7.txt")
     assert cli.main([path]) == 0
     (row,) = report_rows(capsys.readouterr().out)
     assert row["problem"] == "steiner"
@@ -109,7 +110,7 @@ def test_trace_rows(tmp_path):
 def test_trace_leaves_the_report_row_alone(mode):
     # the trace reads the stored domains and builds no node, so the row,
     # peak_nodes included, is the same with and without it
-    path = str(Path(__file__).parent.parent / "instances" / "steiner-2-3-7.txt")
+    path = str(ROOT / "instances" / "steiner-2-3-7.txt")
     rows = []
     for extra in ([], ["--trace"]):
         code, out = run_cli([path, "--mode", mode, "--format", "jsonl", *extra])
@@ -149,6 +150,15 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     code, out = run_cli([path])
     assert code == 2 and out == ""
     assert "require" in capsys.readouterr().err
+
+
+def test_non_utf8_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_bytes(b"problem = steiner\nt = 2\xff\n")
+    code, out = run_cli([str(path)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"bddsets: {path} ") and "utf-8" in err
 
 
 def test_distance_above_length_exits_2(tmp_path, capsys):
@@ -416,3 +426,32 @@ def test_report_row_optimize_out_of_time_before_any_build(tmp_path):
     }
     (row,) = report_rows(run_cli(args)[1])
     assert row["peak_nodes"] == "0"
+
+
+def readme_cli_commands():
+    """The argument lists of the bddsets commands in README's CLI block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("bddsets ")]
+
+
+def test_readme_cli_block_is_found():
+    assert len(readme_cli_commands()) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    readme_cli_commands()
+    + [[f"instances/{p.name}"] for p in sorted((ROOT / "instances").glob("*.txt"))],
+    ids=" ".join,
+)
+def test_readme_commands_and_shipped_instances_run(argv, monkeypatch, capsys):
+    # the paths in README and here are relative to the repository root
+    monkeypatch.chdir(ROOT)
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if "jsonl" in argv:
+        (row,) = [r for r in map(json.loads, out.splitlines()) if r["kind"] == "report"]
+    else:
+        (row,) = report_rows(out)
+    assert row["status"] == "ok"

@@ -78,6 +78,8 @@ def test_parse_bacp():
         courses_max=3,
         prereqs=((2, 1),),
     )
+    # tabs separate fields as spaces do, course lines included
+    assert parse_instance(BACP.replace(" ", "\t")) == out
 
 
 def test_build_from_instance():

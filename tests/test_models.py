@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from bddsets.models import (
     hamming_valid,
     steiner_valid,
 )
+from bddsets.instances import build_from_instance, parse_instance
 from bddsets.intexpr import const_expr, int_le, plus, wsum
 from bddsets.propagate import State
 from bddsets.search import optimize_incremental, solve
@@ -280,6 +282,28 @@ def test_hamming_build_node_count():
     # the card_formulas form makes no adder or comparator nodes, and the
     # native ite no intermediate and-products
     assert build_hamming(HammingSpec(9, 4, 7, n=5)).store.node_count() == 1715
+
+
+INSTANCES = Path(__file__).parent.parent / "instances"
+
+
+@pytest.mark.parametrize(
+    "name,options,nodes,constraints",
+    [
+        ("steiner-2-3-7", {"merged": True}, 2443, 28),
+        ("steiner-2-3-7", {"merged": False}, 18067, 70),
+        ("golfers-2-5-4", {}, 6308, 38),
+        ("bacp-toy", {"variant": "primal"}, 2663, 19),
+        ("bacp-toy", {"variant": "dual"}, 3079, 29),
+        ("bacp-toy", {"variant": "hybrid_primal"}, 4960, 29),
+        ("bacp-toy", {"variant": "hybrid_dual"}, 5384, 39),
+    ],
+)
+def test_build_node_and_constraint_counts(name, options, nodes, constraints):
+    # a model builder that reorders or rewrites its constraints moves these
+    parsed = parse_instance((INSTANCES / f"{name}.txt").read_text())
+    m = build_from_instance({**parsed, **options})
+    assert (m.store.node_count(), len(m.constraints)) == (nodes, constraints)
 
 
 def test_hamming_solution_valid():
