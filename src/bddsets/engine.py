@@ -7,11 +7,12 @@ Boolean functions is handle equality.
 
 The recursions are built once, not on every call: one and/or/xor apply
 body, ``ite``, ``negate`` and ``cofactor`` once per store, and one
-``and_exists`` core per quantified variable set; ``exists`` is that core
-with a ``TRUE`` operand.  They are closures over the store's node arrays
-and tables, never over the store itself, so those containers are cleared
-in place and never rebound.  They look an existing node up in the unique
-table directly and call the node allocator only on a miss.
+``and_exists`` core per quantified variable set, kept for the store's
+life; ``exists`` is that core with a ``TRUE`` operand.  They are closures
+over the store's node arrays and tables, never over the store itself, so
+those containers are cleared in place and never rebound.  They look an
+existing node up in the unique table directly and call the node
+allocator only on a miss.
 The quantifier cores fuse the disjunction of a quantified level: they
 call the OR core directly and skip the else-branch once the then-branch
 is ``TRUE`` (Brace, Rudell & Bryant, "Efficient Implementation of a BDD
@@ -38,12 +39,15 @@ memo entries whose values are not handles share one side table,
 ``NodeStore._cache``, keyed ``n << 2 | tag`` for node n: tag 1 holds n's
 fixed literals and tag 2 the fewest true and the fewest false literals
 on a 1-path from n (both for :mod:`bddsets.analysis`).  Handles and
-variables must stay below 2**32.
+variables must stay below 2**32.  The store owns every memo that can
+name a handle, a client's from ``NodeStore.memo()`` too (such as a
+propagation state's run memo): ``collect_garbage`` and ``clear_cache``
+empty them all in place.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 FALSE = 0
 TRUE = 1
@@ -63,35 +67,29 @@ class OrderingViolation(Exception):
 
 def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
     """Build one store's recursions as closures over its containers."""
-    # With the checks on, every node goes through node() so that each one
-    # is checked; otherwise a unique-table hit skips the call.  The cores
-    # pass the key they probed with, so a miss packs it only once.
-    probe = {} if debug_checks else unique
     memos = []
 
     def node(key: int, v: int, t: int, f: int) -> int:
-        """The node (v, t, f), t != f, whose unique-table key is key."""
+        """Allocate the node (v, t, f), t != f, missing from the unique table at key."""
         if debug_checks and (var[t] <= v or var[f] <= v):
             raise OrderingViolation(f"children of v{v} not strictly below it")
-        r = unique.get(key)
-        if r is None:
-            if free:
-                r = free.pop()
-                var[r] = v
-                hi[r] = t
-                lo[r] = f
-            else:
-                r = len(var)
-                if node_limit is not None and r - 2 >= node_limit:
-                    raise NodeLimitExceeded(f"node ceiling {node_limit} reached")
-                var.append(v)
-                hi.append(t)
-                lo.append(f)
-            unique[key] = r
+        if free:
+            r = free.pop()
+            var[r] = v
+            hi[r] = t
+            lo[r] = f
+        else:
+            r = len(var)
+            if node_limit is not None and r - 2 >= node_limit:
+                raise NodeLimitExceeded(f"node ceiling {node_limit} reached")
+            var.append(v)
+            hi.append(t)
+            lo.append(f)
+        unique[key] = r
         return r
 
     def mk(v: int, t: int, f: int) -> int:
-        return t if t == f else node((v << 32 | t) << 32 | f, v, t, f)
+        return t if t == f else unique.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f)
 
     def binary(unit: int, zero: int, idempotent: bool):
         """Apply core for a commutative operator.
@@ -126,7 +124,7 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
                 v, t, f = va, rec(hi[a], b), rec(lo[a], b)
             else:
                 v, t, f = vb, rec(hi[b], a), rec(lo[b], a)
-            r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
+            r = t if t == f else unique.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f)
             memo[key] = r
             return r
 
@@ -158,7 +156,7 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
         tt, tf = (hi[t], lo[t]) if vt == v else (t, t)
         ft, ff = (hi[f], lo[f]) if vf == v else (f, f)
         t, f = ite(ct, tt, ft), ite(cf, tf, ff)
-        r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
+        r = t if t == f else unique.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f)
         ite_memo[key] = r
         return r
 
@@ -169,7 +167,7 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
         if r is None:
             v, t, f = var[a], negate(hi[a]), negate(lo[a])
             # a is reduced, so its negated children differ too
-            r = probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f)
+            r = unique.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f)
             not_memo[a] = r
         return r
 
@@ -191,12 +189,12 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
             r = cofactor(lo[a], lo[c]) if t == FALSE else cofactor(hi[a], t)
         else:
             t, f = cofactor(hi[a], c), cofactor(lo[a], c)
-            r = t if t == f else (probe.get(k := (va << 32 | t) << 32 | f) or node(k, va, t, f))
+            r = t if t == f else unique.get(k := (va << 32 | t) << 32 | f) or node(k, va, t, f)
         cof_memo[key] = r
         return r
 
     def quantifiers(fs: frozenset[int]):
-        """The and_exists core for the variable set fs, and its memo.
+        """The and_exists core for the variable set fs, its memo registered.
 
         exists(fs, a) is and_exists(TRUE, a): a TRUE operand sorts first
         and is never descended into, so the core walks a alone.
@@ -205,6 +203,7 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
         # descent too; with fs empty every handle does
         top = max(fs, default=-1)
         memo = {}
+        memos.append(memo)
 
         def and_exists(a: int, b: int) -> int:
             # neither operand is FALSE: callers return FALSE themselves
@@ -236,11 +235,11 @@ def _build_kernel(var, hi, lo, unique, free, node_limit, debug_checks):
                     r = or_(t, f) if t and f else t or f
             else:
                 f = fa and fb and and_exists(fa, fb)
-                r = t if t == f else (probe.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f))
+                r = t if t == f else unique.get(k := (v << 32 | t) << 32 | f) or node(k, v, t, f)
             memo[key] = r
             return r
 
-        return and_exists, memo
+        return and_exists
 
     return mk, and_, or_, xor, ite, negate, cofactor, quantifiers, memos
 
@@ -278,8 +277,8 @@ class NodeStore:
             self._var, self._hi, self._lo, self._unique, self._free,
             node_limit, debug_checks,
         )
-        # quantified variable set -> its (and_exists core, memo) pair
-        self._quantifier_cores: dict[frozenset[int], tuple] = {}
+        # quantified variable set -> its and_exists core
+        self._quantifier_cores: dict[frozenset[int], Callable[[int, int], int]] = {}
 
     def __del__(self):
         # The cores are self-recursive closures, so they outlive the store
@@ -313,9 +312,9 @@ class NodeStore:
     def collect_garbage(self, roots: Iterable[int]) -> int:
         """Reclaim every node unreachable from roots; return the number freed.
 
-        The operation memo cache and the quantifier cores are cleared as
-        well, since memo entries may name swept handles.  Callers must
-        treat any handle not reachable from roots as invalid afterwards.
+        Every table clear_cache empties is emptied too, since its entries
+        may name swept handles.  Callers must treat any handle not
+        reachable from roots as invalid afterwards.
         """
         var, hi, lo = self._var, self._hi, self._lo
         live = bytearray(len(var))
@@ -339,23 +338,20 @@ class NodeStore:
         return len(dead)
 
     def clear_cache(self) -> None:
-        """Empty every memo table and drop every quantifier core.
-
-        The tables are cleared in place, since the cores hold them; a
-        dropped core's own memos are emptied first, so their memory is
-        released without waiting for the cycle collector.
-        """
+        """Empty, in place, the side table, every core's memo and every
+        memo() a client took; the cores themselves are kept."""
         self._cache.clear()
         for memo in self._memos:
             memo.clear()
-        for _, memo in self._quantifier_cores.values():
-            memo.clear()
-        self._quantifier_cores.clear()
 
     def cache_entries(self) -> int:
         """Total number of entries in every memo table and the side table."""
-        n = len(self._cache) + sum(map(len, self._memos))
-        return n + sum(len(memo) for _, memo in self._quantifier_cores.values())
+        return len(self._cache) + sum(map(len, self._memos))
+
+    def memo(self) -> dict:
+        """A new memo for a client, emptied with the store's own."""
+        self._memos.append({})
+        return self._memos[-1]
 
     def mk_node(self, v: int, t: int, f: int) -> int:
         """Return the unique reduced node for (v, t, f)."""
@@ -405,7 +401,7 @@ class NodeStore:
         core = self._quantifier_cores.get(fs)
         if core is None:
             core = self._quantifier_cores[fs] = self._new_quantifiers(fs)
-        return core[0]
+        return core
 
     def exists(self, vs: Iterable[int], a: int) -> int:
         """Existentially quantify every variable of vs out of a."""

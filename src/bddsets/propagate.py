@@ -56,8 +56,8 @@ The run memo also holds each domain update of _absorb, keyed
 new stick << 32 | new remainder: for one store and mode the update is a
 pure function of those three (vi is there because delta = stick = TRUE
 names no variable).  A run key is 2**32 | ci for an empty scope, or at
-least 2**96, so the kinds never collide, and maintain() drops both
-together: a recycled handle never returns through a hit.
+least 2**96, so the kinds never collide, and the store empties both
+with its memos: a recycled handle never returns through a hit.
 
 Every constraint that is neither TRUE nor on the queue is at its fixpoint
 and specialised by its scope's sticks: a cofactor by one changes nothing.
@@ -152,7 +152,7 @@ class State:
         self._exact = mode in ("domain", "split")
         # the constraint propagate() is running, which _wake leaves alone
         self._running = -1
-        self._prop_cache = {}
+        self._prop_cache = store.memo()
         self.runs = 0
         self.cache_hits = 0
         self._gc_trigger = self.gc_node_trigger
@@ -193,8 +193,8 @@ class State:
     # -- memory maintenance --------------------------------------------
 
     # node-table size above which search triggers a garbage collection,
-    # and memo size, the kernel's and the run memo's entries together,
-    # above which the memos alone are dropped
+    # and total size of the store's memos, this run memo included, above
+    # which the memos alone are dropped
     gc_node_trigger = 1_500_000
     cache_clear_trigger = 6_000_000
 
@@ -214,25 +214,26 @@ class State:
         """
         store = self.store
         if store.live_node_count() > self._gc_trigger:
-            self._prop_cache.clear()
             store.collect_garbage(self.gc_roots())
             self._gc_trigger = max(self.gc_node_trigger, 2 * store.live_node_count())
-        elif store.cache_entries() + len(self._prop_cache) > self.cache_clear_trigger:
-            self._prop_cache.clear()
+        elif store.cache_entries() > self.cache_clear_trigger:
             store.clear_cache()
 
     # -- inspection ----------------------------------------------------
 
     def var_index(self, v) -> int:
-        return self._index[id(v)]
+        vi = self._index.get(id(v))
+        if vi is None:
+            raise ValueError(f"{v!r} is not a state variable")
+        return vi
 
     def fixed_bit_values(self, v) -> dict[int, bool]:
         """Bit -> forced value over the variable's domain: the stick's literals."""
-        vi = v if isinstance(v, int) else self._index[id(v)]
+        vi = v if isinstance(v, int) else self.var_index(v)
         return self.store.cube_literals(self.stick[vi])
 
     def is_determined(self, v) -> bool:
-        return self._fixed(v if isinstance(v, int) else self._index[id(v)])
+        return self._fixed(v if isinstance(v, int) else self.var_index(v))
 
     # -- queue ---------------------------------------------------------
 
@@ -289,7 +290,7 @@ class State:
 
     def assign(self, v, element, member=True) -> bool:
         """Branch decision: force element in (or out of) set variable v."""
-        return self.assign_bit(self._index[id(v)], v.bit(element), member)
+        return self.assign_bit(self.var_index(v), v.bit(element), member)
 
     def assign_bit(self, vi, bit, value) -> bool:
         if bit not in self.bitsets[vi]:

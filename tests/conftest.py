@@ -69,18 +69,22 @@ def domain_bdd(state, v):
     return state.store.apply_and(state.stick[vi], state.rem[vi])
 
 
-def collect_at_every_node(state):
+def collect_at_every_node(state, direct=False):
     """Make state.maintain(), which search calls at every node, collect
-    garbage each time.  Returns a list to which each call appends the
-    kernel and run-memo entries left after it."""
+    garbage each time: through maintain() itself, or with direct set by
+    calling store.collect_garbage(state.gc_roots()) in its place.  Returns
+    a list to which each call appends the memo entries left after it."""
     maintain = state.maintain
     entries = []
 
     def collect_every_time():
-        # maintain() raises its trigger after each collection
-        state._gc_trigger = 0
-        maintain()
-        entries.append(state.store.cache_entries() + len(state._prop_cache))
+        if direct:
+            state.store.collect_garbage(state.gc_roots())
+        else:
+            # maintain() raises its trigger after each collection
+            state._gc_trigger = 0
+            maintain()
+        entries.append(state.store.cache_entries())
 
     state.maintain = collect_every_time
     return entries
@@ -155,4 +159,4 @@ def exists_table(table, qs, nvars):
 
 def hot_tables(store):
     """The unique table and every handle-valued memo table of store."""
-    return [store._unique, *store._memos, *(m for _, m in store._quantifier_cores.values())]
+    return [store._unique, *store._memos]

@@ -386,7 +386,7 @@ def test_cores_survive_maintain_cache_clear(store, rng):
     audit(store)
 
 
-def test_clear_cache_drops_quantifier_cores(store, rng):
+def test_clear_cache_keeps_quantifier_cores(store, rng):
     from bddsets.propagate import State
     from bddsets.sets import ConstraintBdd, Universe, alloc_set_vars, card
 
@@ -397,33 +397,47 @@ def test_clear_cache_drops_quantifier_cores(store, rng):
     a = random_bdd(store, nvars, rng)
     b = random_bdd(store, nvars, rng)
     proj = store.and_exists(qs, a, b)
-    store.exists(frozenset(x.bits[:2]), a)
-    cores = store._quantifier_cores
+    ex = store.exists(frozenset(x.bits[:2]), a)
+    cores = dict(store._quantifier_cores)
     assert len(cores) == 2
-    # the dropped cores are cyclic garbage, so their memos are emptied too
+    # the six kernel memos, one per core and the state's run memo
     memos = hot_tables(store)[1:]
-    # a collection clears the cores with the cache, in place
-    store.collect_garbage([a, b, proj])
-    assert store._quantifier_cores is cores and not cores and store.cache_entries() == 0
-    assert not any(memos)
-    assert store.and_exists(qs, a, b) == proj
-    _check_ops(store, rng, nvars, qs)
-    # so does maintain()'s cache-only clear
-    assert cores
+    assert len(memos) == 9 and any(m is state._prop_cache for m in memos)
+    start = state.mark()
+
+    def check(clear):
+        state.undo(start)
+        assert state.propagate() and state._prop_cache and store.cache_entries() > 0
+        clear()
+        # every memo is emptied in place, and every core is kept
+        assert store._quantifier_cores == cores
+        assert all(m is n for m, n in zip(hot_tables(store)[1:], memos, strict=True))
+        assert not any(memos) and store.cache_entries() == 0
+        assert store.and_exists(qs, a, b) == proj
+        assert store.exists(frozenset(x.bits[:2]), a) == ex
+        _check_ops(store, rng, nvars, qs)
+        audit(store)
+
+    # a collection from the state's roots, then maintain()'s cache-only clear
+    check(lambda: store.collect_garbage([a, b, proj, ex, *state.gc_roots()]))
     state.cache_clear_trigger = 0
-    state.maintain()
-    assert store._quantifier_cores is cores and not cores and store.cache_entries() == 0
-    assert store.and_exists(qs, a, b) == proj
-    _check_ops(store, rng, nvars, qs)
-    audit(store)
+    check(state.maintain)
 
 
 def test_hot_tables_stay_untracked_by_the_cycle_collector(rng):
     # every unique-table and memo entry is int to int, so CPython never
-    # tracks those dicts, even across a collection of both kinds
+    # tracks those dicts, even across a collection of both kinds; a
+    # propagated state's run memo is one of them
+    from bddsets.propagate import State
+    from bddsets.sets import ConstraintBdd, Universe, alloc_set_vars, card_eq, subseteq
+
     store = NodeStore()
     nvars = 6
     store.new_vars(nvars)
+    x, y = alloc_set_vars(store, Universe(3), ["x", "y"])
+    cons = [card_eq(store, x, 1), subseteq(store, x, y)]
+    state = State(store, [x, y], [ConstraintBdd(cons[0], (x,)), ConstraintBdd(cons[1], (x, y))])
+    start = state.mark()
 
     def ops(n):
         out = []
@@ -445,12 +459,17 @@ def test_hot_tables_stay_untracked_by_the_cycle_collector(rng):
         return out
 
     keep = ops(40)
-    store.collect_garbage(keep[::3])
+    assert state.propagate()
+    store.collect_garbage([*keep[::3], *state.gc_roots()])
     gc.collect()
     ops(40)
+    state.undo(start)
+    assert state.propagate() and state.assign(x, 1) and state.propagate()
     tables = hot_tables(store)
-    # the unique table and the six fixed memos, then the quantifier memos
-    assert all(tables[:7]) and any(tables[7:])
+    # the unique table and the six fixed memos, then the run memo and the
+    # quantifier memos
+    assert tables[7] is state._prop_cache
+    assert all(tables[:8]) and any(tables[8:])
     assert not any(map(gc.is_tracked, tables))
 
 

@@ -603,3 +603,21 @@ def test_malformed_state_input_rejected(store, variables, scope, match):
     in_x = ConstraintBdd(member(store, 1, named["x"]), tuple(named[v] for v in scope), "in-x")
     with pytest.raises(ValueError, match=match):
         State(store, [named[v] for v in variables], [in_x])
+
+
+def test_foreign_variable_rejected_by_name(store):
+    from bddsets.search import solve
+
+    x, z = alloc_set_vars(store, Universe(3), ["x", "z"])
+    st = State(store, [x], [ConstraintBdd(member(store, 1, x), (x,))])
+    calls = [
+        lambda: st.var_index(z),
+        lambda: st.assign(z, 1),
+        lambda: st.fixed_bit_values(z),
+        lambda: st.is_determined(z),
+        lambda: solve(st, branch_vars=[z]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^SetVar\(z\) is not a state variable$"):
+            call()
+    assert st.var_index(x) == 0 and st.assign(x, 2) and st.propagate()

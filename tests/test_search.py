@@ -365,19 +365,22 @@ def small_problem(s, mode="domain"):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_search_with_aggressive_garbage_collection(mode):
-    # force a collection at every node and check the search result is
-    # unchanged from an uncollected run; the run memo also holds domain
-    # updates, which a collection must drop
+    # force a collection at every node, through maintain() and straight
+    # from gc_roots(), and check the search result is unchanged from an
+    # uncollected run; the run memo also holds domain updates, which a
+    # collection must drop
     plain = solve(small_problem(NodeStore(), mode), all_solutions=True)
-    gc_state = small_problem(NodeStore(), mode)
-    entries = collect_at_every_node(gc_state)
-    collected = solve(gc_state, all_solutions=True)
-    assert gc_state.store._free and entries == [0] * collected.nodes
-    assert collected.status == plain.status
-    assert collected.fails == plain.fails
-    assert {(s["x"], s["y"]) for s in collected.solutions} == {
-        (s["x"], s["y"]) for s in plain.solutions
-    }
+    for direct in (False, True):
+        gc_state = small_problem(NodeStore(), mode)
+        entries = collect_at_every_node(gc_state, direct)
+        collected = solve(gc_state, all_solutions=True)
+        assert gc_state.store._free and entries == [0] * collected.nodes
+        assert (collected.status, collected.fails, collected.nodes, len(collected.solutions)) == (
+            plain.status, plain.fails, plain.nodes, len(plain.solutions)
+        )
+        assert {(s["x"], s["y"]) for s in collected.solutions} == {
+            (s["x"], s["y"]) for s in plain.solutions
+        }
 
 
 def test_run_memo_bounded_by_the_cache_trigger():
