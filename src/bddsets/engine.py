@@ -42,11 +42,13 @@ on a 1-path from n (both for :mod:`bddsets.analysis`).  Handles and
 variables must stay below 2**32.  The store owns every memo that can
 name a handle, a client's from ``NodeStore.memo()`` too (such as a
 propagation state's run memo): ``collect_garbage`` and ``clear_cache``
-empty them all in place.
+empty them all in place, and one taken with an owner is dropped once its
+owner is collected.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable
 
 FALSE = 0
@@ -56,6 +58,13 @@ TRUE = 1
 # real variable index so the ordering tests in the recursions need no
 # special casing.
 _TERMINAL_VAR = 1 << 60
+
+def _drop_memo(memos, memo):
+    """Remove memo from memos by identity: two empty memos compare equal."""
+    for i, m in enumerate(memos):
+        if m is memo:
+            del memos[i]
+            return
 
 class NodeLimitExceeded(Exception):
     """Raised when the store grows past its configured node ceiling."""
@@ -348,10 +357,14 @@ class NodeStore:
         """Total number of entries in every memo table and the side table."""
         return len(self._cache) + sum(map(len, self._memos))
 
-    def memo(self) -> dict:
-        """A new memo for a client, emptied with the store's own."""
-        self._memos.append({})
-        return self._memos[-1]
+    def memo(self, owner=None) -> dict:
+        """A new memo for a client, emptied with the store's own; with an
+        owner, the store drops it once the owner is collected."""
+        memo = {}
+        self._memos.append(memo)
+        if owner is not None:
+            weakref.finalize(owner, _drop_memo, self._memos, memo)
+        return memo
 
     def mk_node(self, v: int, t: int, f: int) -> int:
         """Return the unique reduced node for (v, t, f)."""

@@ -34,11 +34,20 @@ specialised constraint onto its variable exactly when it is fixed in the
 constraint itself: a bounds run reads the constraint's fixed literals
 into the sticks and projects nothing.
 
+Most constraints have a two-variable scope, and _project takes the pair
+as its base case: the projection onto each of x and y is one and_exists,
+which quantifies the other variable out of its conjunction with the
+constraint, then one apply_and with its own remainder.  Longer scopes are
+halved down to pairs and single variables, and the first empty
+projection ends the run as a failure, since then every other projection
+is empty too.
+
 A constraint c is retired, replaced by TRUE, once running it again
 cannot change a domain: when specialising it leaves TRUE, and, in domain
 and split modes, which absorb projections exactly, once at most one scope
-variable is unfixed.  The domains D then imply c, so c /\\ D' = D' for
-every D' <= D, and undo restores c.
+variable is unfixed; the count stops at the second unfixed variable.  The
+domains D then imply c, so c /\\ D' = D' for every D' <= D, and undo
+restores c.
 
 All propagators are monotone, hence the fixpoint reached is independent
 of queue order.  Every change is trailed so search can backtrack, and
@@ -152,7 +161,7 @@ class State:
         self._exact = mode in ("domain", "split")
         # the constraint propagate() is running, which _wake leaves alone
         self._running = -1
-        self._prop_cache = store.memo()
+        self._prop_cache = store.memo(owner=self)
         self.runs = 0
         self.cache_hits = 0
         self._gc_trigger = self.gc_node_trigger
@@ -248,11 +257,17 @@ class State:
                 self._why[ci] = -1
 
     def _wake(self, vi):
-        """Queue the watchers of variable vi but the running constraint."""
-        running = self._running
+        """Queue the watchers of variable vi but the running constraint,
+        as enqueue(ci, vi) would."""
+        running, cons, why, queue = self._running, self.cons, self._why, self.queue
         for ci in self.watch[vi]:
-            if ci != running:
-                self.enqueue(ci, vi)
+            if ci != running and cons[ci] != TRUE:
+                woke = why[ci]
+                if woke is None:
+                    why[ci] = vi
+                    queue.append(ci)
+                elif woke != vi:
+                    why[ci] = -1
 
     # -- domain updates ------------------------------------------------
 
@@ -305,41 +320,57 @@ class State:
 
     # -- propagation ---------------------------------------------------
 
-    def _project(self, phi, scope, skip=-1):
-        """Projections of phi /\\ scope domains onto each scope variable
-        but skip.
+    def _project(self, p, keep, skip=-1, out=None):
+        """Projections of p /\\ keep's domains onto each variable of keep
+        but skip, gathered in out; None on a wipeout.
 
-        Divide and conquer over the scope: each half is quantified away
-        one variable at a time, conjoining that variable's remainder in
-        the same and_exists, so every projection costs O(log n) halvings
-        and no product of remainders is ever built.  Each remainder
-        mentions only its own variable's bits, so this equals quantifying
-        the whole half out of its conjunction: early quantification over
-        a conjunctively partitioned product (Burch, Clarke & Long, 1991).
-        Returns None on a wipeout.
-
-        Each stack entry (p, keep, drop) projects p onto the variables of
-        keep after quantifying away those of drop; the left half is
-        finished before the right one is started.
+        A pair is the base case: each of its variables but skip gets
+        rem /\\ exists other.(p /\\ other's rem), one and_exists and one
+        apply_and, and the first empty projection returns None.  A longer
+        scope is divided and conquered: each half is projected after the
+        other is quantified away one variable at a time, conjoining that
+        variable's remainder in the same and_exists, so every projection
+        costs O(log n) halvings and no product of remainders is ever
+        built.  Each remainder mentions only its own variable's bits, so
+        this equals quantifying the whole half out of its conjunction:
+        early quantification over a conjunctively partitioned product
+        (Burch, Clarke & Long, 1991).  The left half is finished before
+        the right one is started.
         """
         store, rem, bitsets = self.store, self.rem, self.bitsets
-        out = {}
-        stack = [(phi, list(scope), ())]
-        while stack:
-            p, keep, drop = stack.pop()
-            if len(keep) == 1 and keep[0] == skip:
+        if out is None:
+            out = {}
+        if len(keep) == 2:
+            x, y = keep
+            if x != skip:
+                d = store.apply_and(store.and_exists(bitsets[y], p, rem[y]), rem[x])
+                if d == FALSE:
+                    return None
+                out[x] = d
+            if y != skip:
+                d = store.apply_and(store.and_exists(bitsets[x], p, rem[x]), rem[y])
+                if d == FALSE:
+                    return None
+                out[y] = d
+            return out
+        if len(keep) == 1:
+            x = keep[0]
+            if x != skip:
+                d = store.apply_and(p, rem[x])
+                if d == FALSE:
+                    return None
+                out[x] = d
+            return out
+        m = len(keep) // 2
+        left, right = keep[:m], keep[m:]
+        for half, drop in ((left, right), (right, left)):
+            if len(half) == 1 and half[0] == skip:
                 continue
+            q = p
             for vi in reversed(drop):
-                p = store.and_exists(bitsets[vi], p, rem[vi])
-            if len(keep) == 1:
-                out[keep[0]] = store.apply_and(p, rem[keep[0]])
-                continue
-            m = len(keep) // 2
-            left, right = keep[:m], keep[m:]
-            stack.append((p, right, left))
-            stack.append((p, left, right))
-        if FALSE in out.values():
-            return None
+                q = store.and_exists(bitsets[vi], q, rem[vi])
+            if self._project(q, half, skip, out) is None:
+                return None
         return out
 
     def _fixed(self, vi) -> bool:
@@ -384,30 +415,20 @@ class State:
             head = (head << 32 | stick[vi]) << 32 | rem[vi]
         return head
 
-    def _specialise(self, ci, sticks) -> int:
-        """Cofactor constraint ci by each of sticks in turn; TRUE retires
-        it, FALSE is not stored."""
-        phi = self.cons[ci]
-        cofactor = self.store.cofactor
-        for s in sticks:
-            phi = cofactor(phi, s)
-            if phi == FALSE:
-                return FALSE
-        self._set(self.cons, ci, phi)
-        return phi
-
     def _propagator(self, ci, skip) -> bool:
         """The propagator of constraint ci, without the memo.  It leaves
         ci where running it again would: see the module docstring."""
-        scope = self.scopes[ci]
-        stick = self.stick
-        before = [stick[vi] for vi in scope]
+        scope, stick = self.scopes[ci], self.stick
+        cofactor = self.store.cofactor
+        phi = self.cons[ci]
         # woken by one variable alone, ci is specialised by every other
         # stick of its scope already (see the module docstring)
-        sticks = before if skip < 0 else [stick[skip]]
-        phi = self._specialise(ci, [s for s in sticks if s != TRUE])
+        for vi in scope if skip < 0 else (skip,):
+            if stick[vi] != TRUE:
+                phi = cofactor(phi, stick[vi])
         if phi == FALSE:
             return False
+        self._set(self.cons, ci, phi)
         if phi == TRUE:
             return True
         if self.mode == "bounds":
@@ -418,15 +439,30 @@ class State:
         deltas = self._project(phi, scope, skip)
         if deltas is None:
             return False
+        changed = []
         for vi in scope:
             if vi != skip:
+                s = stick[vi]
                 self._absorb(vi, deltas[vi])
-        if self._exact and sum(not self._fixed(vi) for vi in scope) <= 1:
-            # the domains imply the constraint: TRUE retires it exactly
-            # (see the module docstring)
-            self._set(self.cons, ci, TRUE)
-        else:
-            self._specialise(ci, [stick[vi] for vi, s in zip(scope, before) if stick[vi] != s])
+                if stick[vi] != s:
+                    changed.append(stick[vi])
+        if self._exact:
+            unfixed = 0
+            for vi in scope:
+                if not self._fixed(vi):
+                    unfixed += 1
+                    if unfixed == 2:
+                        break
+            else:
+                # the domains imply the constraint: TRUE retires it
+                # exactly (see the module docstring)
+                self._set(self.cons, ci, TRUE)
+                return True
+        # the constraint stays satisfiable: the new domains hold the
+        # projections
+        for s in changed:
+            phi = cofactor(phi, s)
+        self._set(self.cons, ci, phi)
         return True
 
     def _bounds_run(self, ci, phi):
@@ -440,7 +476,7 @@ class State:
                 own = {b: lits[b] for b in self.bitsets[vi].intersection(lits)}
                 if own:
                     self._put(vi, store.apply_and(self.stick[vi], store.cube(own)), TRUE)
-            self._specialise(ci, [store.cube(lits)])
+            self._set(self.cons, ci, store.cofactor(phi, store.cube(lits)))
 
     def propagate(self, deadline: float | None = None) -> bool:
         """Run the queue to fixpoint.  False means failure (domain wipeout).

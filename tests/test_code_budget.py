@@ -1,6 +1,6 @@
 from pathlib import Path
 
-# ROADMAP item 4: the line budget of src/bddsets
+# ROADMAP item 5: the line budget of src/bddsets
 BUDGET = 2_863
 SRC_PKG = Path(__file__).parent.parent / "src" / "bddsets"
 

@@ -14,7 +14,9 @@ from bddsets.sets import (
     Universe,
     alloc_set_vars,
     card,
+    card_eq,
     card_le,
+    eq,
     eq_const,
     inter_card_atmost,
     lexlt,
@@ -408,6 +410,35 @@ def test_exception_in_propagate_projects_the_whole_scope_after(mode):
 
 
 @pytest.mark.parametrize("mode", ["domain", "split"])
+def test_a_pair_run_makes_only_its_kernel_calls(mode):
+    # a pair run makes one and_exists per variable it projects onto: none
+    # onto a lone waker, and none after the first empty projection
+    def and_exists_calls(st, *decisions):
+        store = st.store
+        with mock.patch.object(store, "and_exists", wraps=store.and_exists) as spy:
+            for v, k in decisions:
+                assert st.assign(v, k, True)
+            ok = st.propagate()
+        return ok, spy.call_count
+
+    st, x, y = subseteq_state(mode)
+    start = st.mark()
+    assert and_exists_calls(st, (x, 1)) == (True, 1)
+    st.undo(start)
+    assert and_exists_calls(st, (x, 2), (y, 3)) == (True, 2)
+    # |x| = 1 and |y| = 2 are remainders, not sticks, so x = y cofactors
+    # to itself and its projection onto x is empty
+    store = NodeStore()
+    x, y = alloc_set_vars(store, Universe(3), ["x", "y"])
+    cons = [
+        ConstraintBdd(card_eq(store, x, 1), (x,)),
+        ConstraintBdd(card_eq(store, y, 2), (y,)),
+        ConstraintBdd(eq(store, x, y), (x, y)),
+    ]
+    assert and_exists_calls(State(store, [x, y], cons, mode=mode)) == (False, 1)
+
+
+@pytest.mark.parametrize("mode", ["domain", "split"])
 def test_failed_state_projects_the_whole_scope(mode):
     # 1 in x forces 1 in z and 1 out of z: the second run fails and goes
     # back on the queue, so the state stays failed, also after an undo to
@@ -621,3 +652,26 @@ def test_foreign_variable_rejected_by_name(store):
         with pytest.raises(ValueError, match=r"^SetVar\(z\) is not a state variable$"):
             call()
     assert st.var_index(x) == 0 and st.assign(x, 2) and st.propagate()
+
+
+def test_a_state_run_memo_goes_with_the_state(store):
+    # a store serves several states in turn: each state's run memo leaves
+    # the store with the state, so neither the memo list nor the entry
+    # count grows with the number of states solved
+    from bddsets.search import solve
+
+    x, y = alloc_set_vars(store, Universe(4), ["x", "y"])
+    cons = [
+        ConstraintBdd(subseteq(store, x, y), (x, y)),
+        ConstraintBdd(card_eq(store, x, 2), (x,)),
+    ]
+    dropped = []
+    for _ in range(100):
+        st = State(store, [x, y], cons)
+        assert len(solve(st, all_solutions=True).solutions) == 24
+        dropped.append(st._prop_cache)
+        del st
+    assert all(dropped) and len(store._memos) <= 10
+    assert not any(m is d for m in store._memos for d in dropped)
+    # the dropped memos are not emptied, but no longer counted
+    assert store.cache_entries() < sum(map(len, dropped))

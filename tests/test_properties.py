@@ -348,7 +348,7 @@ def test_project_matches_brute_force(universe, order, size, phi, domains, skip):
 @PROPERTY_SETTINGS
 @given(phi=dnf, cubes=st.lists(cube, min_size=2, max_size=3), order=st.permutations(range(3)))
 def test_cofactor_by_disjoint_cubes_in_turn_is_cofactor_by_their_conjunction(phi, cubes, order):
-    # State._specialise rests on this: sticks of different variables range
+    # State._propagator rests on this: sticks of different variables range
     # over disjoint bits, here interleaved in the variable order
     store = NodeStore()
     bits = store.new_vars(12)
