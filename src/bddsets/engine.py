@@ -42,8 +42,8 @@ on a 1-path from n (both for :mod:`bddsets.analysis`).  Handles and
 variables must stay below 2**32.  The store owns every memo that can
 name a handle, a client's from ``NodeStore.memo()`` too (such as a
 propagation state's run memo): ``collect_garbage`` and ``clear_cache``
-empty them all in place, and one taken with an owner is dropped once its
-owner is collected.
+empty them all in place, and a client's is dropped once its owner is
+collected.
 """
 
 from __future__ import annotations
@@ -357,13 +357,12 @@ class NodeStore:
         """Total number of entries in every memo table and the side table."""
         return len(self._cache) + sum(map(len, self._memos))
 
-    def memo(self, owner=None) -> dict:
-        """A new memo for a client, emptied with the store's own; with an
-        owner, the store drops it once the owner is collected."""
+    def memo(self, owner) -> dict:
+        """A new memo for a client, emptied with the store's own and
+        dropped once owner is collected."""
         memo = {}
         self._memos.append(memo)
-        if owner is not None:
-            weakref.finalize(owner, _drop_memo, self._memos, memo)
+        weakref.finalize(owner, _drop_memo, self._memos, memo)
         return memo
 
     def mk_node(self, v: int, t: int, f: int) -> int:

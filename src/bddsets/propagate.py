@@ -34,20 +34,19 @@ specialised constraint onto its variable exactly when it is fixed in the
 constraint itself: a bounds run reads the constraint's fixed literals
 into the sticks and projects nothing.
 
-Most constraints have a two-variable scope, and _project takes the pair
-as its base case: the projection onto each of x and y is one and_exists,
+Most constraints have a two-variable scope, and _project halves a pair
+into its two variables: the projection onto each is one and_exists,
 which quantifies the other variable out of its conjunction with the
 constraint, then one apply_and with its own remainder.  Longer scopes are
-halved down to pairs and single variables, and the first empty
+halved down to single variables the same way, and the first empty
 projection ends the run as a failure, since then every other projection
 is empty too.
 
 A constraint c is retired, replaced by TRUE, once running it again
 cannot change a domain: when specialising it leaves TRUE, and, in domain
 and split modes, which absorb projections exactly, once at most one scope
-variable is unfixed; the count stops at the second unfixed variable.  The
-domains D then imply c, so c /\\ D' = D' for every D' <= D, and undo
-restores c.
+variable is unfixed.  The domains D then imply c, so c /\\ D' = D' for
+every D' <= D, and undo restores c.
 
 All propagators are monotone, hence the fixpoint reached is independent
 of queue order.  Every change is trailed so search can backtrack, and
@@ -257,17 +256,11 @@ class State:
                 self._why[ci] = -1
 
     def _wake(self, vi):
-        """Queue the watchers of variable vi but the running constraint,
-        as enqueue(ci, vi) would."""
-        running, cons, why, queue = self._running, self.cons, self._why, self.queue
+        """Queue the watchers of variable vi but the running constraint."""
+        running = self._running
         for ci in self.watch[vi]:
-            if ci != running and cons[ci] != TRUE:
-                woke = why[ci]
-                if woke is None:
-                    why[ci] = vi
-                    queue.append(ci)
-                elif woke != vi:
-                    why[ci] = -1
+            if ci != running:
+                self.enqueue(ci, vi)
 
     # -- domain updates ------------------------------------------------
 
@@ -324,10 +317,7 @@ class State:
         """Projections of p /\\ keep's domains onto each variable of keep
         but skip, gathered in out; None on a wipeout.
 
-        A pair is the base case: each of its variables but skip gets
-        rem /\\ exists other.(p /\\ other's rem), one and_exists and one
-        apply_and, and the first empty projection returns None.  A longer
-        scope is divided and conquered: each half is projected after the
+        Divide and conquer over keep: each half is projected after the
         other is quantified away one variable at a time, conjoining that
         variable's remainder in the same and_exists, so every projection
         costs O(log n) halvings and no product of remainders is ever
@@ -335,24 +325,14 @@ class State:
         this equals quantifying the whole half out of its conjunction:
         early quantification over a conjunctively partitioned product
         (Burch, Clarke & Long, 1991).  The left half is finished before
-        the right one is started.
+        the right one is started.  The base case is a single variable,
+        whose projection is one apply_and with its remainder; a pair thus
+        costs one and_exists and one apply_and per variable but skip.
+        The first empty projection returns None.
         """
         store, rem, bitsets = self.store, self.rem, self.bitsets
         if out is None:
             out = {}
-        if len(keep) == 2:
-            x, y = keep
-            if x != skip:
-                d = store.apply_and(store.and_exists(bitsets[y], p, rem[y]), rem[x])
-                if d == FALSE:
-                    return None
-                out[x] = d
-            if y != skip:
-                d = store.apply_and(store.and_exists(bitsets[x], p, rem[x]), rem[y])
-                if d == FALSE:
-                    return None
-                out[y] = d
-            return out
         if len(keep) == 1:
             x = keep[0]
             if x != skip:
@@ -446,18 +426,11 @@ class State:
                 self._absorb(vi, deltas[vi])
                 if stick[vi] != s:
                     changed.append(stick[vi])
-        if self._exact:
-            unfixed = 0
-            for vi in scope:
-                if not self._fixed(vi):
-                    unfixed += 1
-                    if unfixed == 2:
-                        break
-            else:
-                # the domains imply the constraint: TRUE retires it
-                # exactly (see the module docstring)
-                self._set(self.cons, ci, TRUE)
-                return True
+        if self._exact and sum(not self._fixed(vi) for vi in scope) <= 1:
+            # the domains imply the constraint: TRUE retires it exactly
+            # (see the module docstring)
+            self._set(self.cons, ci, TRUE)
+            return True
         # the constraint stays satisfiable: the new domains hold the
         # projections
         for s in changed:
