@@ -34,13 +34,10 @@ specialised constraint onto its variable exactly when it is fixed in the
 constraint itself: a bounds run reads the constraint's fixed literals
 into the sticks and projects nothing.
 
-Most constraints have a two-variable scope, and _project halves a pair
-into its two variables: the projection onto each is one and_exists,
-which quantifies the other variable out of its conjunction with the
-constraint, then one apply_and with its own remainder.  Longer scopes are
-halved down to single variables the same way, and the first empty
-projection ends the run as a failure, since then every other projection
-is empty too.
+Most scopes are pairs, which _run_pair runs in one method.  Its
+projection onto x of a pair (x, y) is one and_exists that quantifies y
+out together with y's remainder, then one apply_and with x's remainder;
+the first empty projection fails the run, since then all are empty.
 
 A constraint c is retired, replaced by TRUE, once running it again
 cannot change a domain: when specialising it leaves TRUE, and, in domain
@@ -161,6 +158,8 @@ class State:
         # the constraint propagate() is running, which _wake leaves alone
         self._running = -1
         self._prop_cache = store.memo(owner=self)
+        # the pair runs' cofactor: the kernel core, bar the cube check
+        self._cofactor = store.cofactor if store.debug_checks else store._cofactor
         self.runs = 0
         self.cache_hits = 0
         self._gc_trigger = self.gc_node_trigger
@@ -315,20 +314,16 @@ class State:
 
     def _project(self, p, keep, skip=-1, out=None):
         """Projections of p /\\ keep's domains onto each variable of keep
-        but skip, gathered in out; None on a wipeout.
+        but skip, gathered in out; None at the first empty one.
 
         Divide and conquer over keep: each half is projected after the
         other is quantified away one variable at a time, conjoining that
-        variable's remainder in the same and_exists, so every projection
-        costs O(log n) halvings and no product of remainders is ever
-        built.  Each remainder mentions only its own variable's bits, so
-        this equals quantifying the whole half out of its conjunction:
-        early quantification over a conjunctively partitioned product
-        (Burch, Clarke & Long, 1991).  The left half is finished before
-        the right one is started.  The base case is a single variable,
-        whose projection is one apply_and with its remainder; a pair thus
-        costs one and_exists and one apply_and per variable but skip.
-        The first empty projection returns None.
+        variable's remainder in the same and_exists, so no product of
+        remainders is built.  Each remainder mentions only its own bits,
+        so this is early quantification over a conjunctively partitioned
+        product (Burch, Clarke & Long, 1991).  The left half goes first; a
+        single variable's projection is one apply_and with its remainder.
+        _run_pair makes the same calls for a pair, inline.
         """
         store, rem, bitsets = self.store, self.rem, self.bitsets
         if out is None:
@@ -363,6 +358,8 @@ class State:
         """Run constraint ci, woken by variable skip alone (-1: by more, or
         queued otherwise)."""
         scope = self.scopes[ci]
+        if len(scope) == 2:
+            return self._run_pair(ci, skip, *scope)
         # the leading 1 keeps keys of scopes of different lengths apart;
         # ci stands for its constraint (see the module docstring)
         key = self._pack(1 << 32 | ci, scope)
@@ -385,6 +382,59 @@ class State:
             self._prop_cache[key] = -1
             return False
         self._prop_cache[key] = self._pack(self.cons[ci], scope)
+        return True
+
+    def _run_pair(self, ci, skip, x, y) -> bool:
+        """_run for a scope (x, y), inline: the same memo and kernel calls."""
+        stick, rem, cons, memo = self.stick, self.rem, self.cons, self._prop_cache
+        sx, rx, sy, ry = stick[x], rem[x], stick[y], rem[y]
+        doms = ((sx << 32 | rx) << 32 | sy) << 32 | ry
+        key = (1 << 32 | ci) << 128 | doms
+        cached = memo.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            if cached < 0:
+                return False
+            phi = cached >> 128
+            self._set(cons, ci, phi)
+            if cached ^ (phi << 128) != doms:
+                self._put(x, cached >> 96 & 0xFFFFFFFF, cached >> 64 & 0xFFFFFFFF)
+                self._put(y, cached >> 32 & 0xFFFFFFFF, cached & 0xFFFFFFFF)
+            return True
+        self.runs += 1
+        store, cofactor, phi = self.store, self._cofactor, cons[ci]
+        for s in (sx, sy) if skip < 0 else (stick[skip],):
+            if s != TRUE:
+                phi = cofactor(phi, s)
+        if phi == FALSE:
+            memo[key] = -1
+            return False
+        self._set(cons, ci, phi)
+        if phi != TRUE and self.mode == "bounds":
+            self._bounds_run(ci, phi)
+        elif phi != TRUE:
+            exact = self._exact
+            # projections onto x, then y: skipping one leaves its remainder
+            dx, dy = rx, ry
+            if not (exact and skip == x):
+                dx = store.apply_and(store.and_exists(self.bitsets[y], phi, ry), rx)
+            if dx != FALSE and not (exact and skip == y):
+                dy = store.apply_and(store.and_exists(self.bitsets[x], phi, rx), ry)
+            if dx == FALSE or dy == FALSE:
+                memo[key] = -1
+                return False
+            if dx != rx:
+                self._absorb(x, dx)
+            if dy != ry:
+                self._absorb(y, dy)
+            if exact and (self._fixed(x) or self._fixed(y)):
+                phi = TRUE
+            else:
+                for vi, s in ((x, sx), (y, sy)):
+                    if stick[vi] != s:
+                        phi = cofactor(phi, stick[vi])
+            self._set(cons, ci, phi)
+        memo[key] = (((cons[ci] << 32 | stick[x]) << 32 | rem[x]) << 32 | stick[y]) << 32 | rem[y]
         return True
 
     def _pack(self, head, scope):

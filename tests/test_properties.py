@@ -45,7 +45,10 @@ remainder or constraint, since no run queues its own
 constraint again, and no remainder may fix a bit; every constraint but
 TRUE must be unchanged by a cofactor by any stick of its scope, but a
 lone waker's while it is queued; absorbing a variable's own remainder
-must change nothing, the run memo included; and a bounds run, which reads the fixed literals of
+must change nothing, the run memo included; every pair constraint run
+through State._run_pair must make the kernel calls and leave the state
+that State._propagator does, and store the run memo entry State._run
+would; and a bounds run, which reads the fixed literals of
 the specialised constraint, must match projecting by brute force and
 splitting each projection.  Cofactoring a function by cubes over
 disjoint bits one at a time, in any order, must equal cofactoring it by
@@ -545,6 +548,68 @@ def test_absorbing_a_remainder_is_the_identity(mode, steps):
 def test_a_run_leaves_its_constraint_at_its_fixpoint(mode, steps):
     s = trail_problem(mode)
     walk(s, steps, partial(check_own_fixpoint, s))
+
+
+def logged(log, name, fn, *args):
+    log.append((name, *args))
+    return fn(*args)
+
+
+def check_pair_runs(s, posted):
+    """Every pair constraint, run from one mark as propagate() would run
+    it next, makes the same and_exists and apply_and calls in the same
+    order and leaves the same domains, constraints, queue and wakers
+    through _run_pair, which misses the run memo, as through _propagator:
+    with its handle and waker if it is not TRUE, and, in any case, with
+    its handle as posted and no waker, which reaches runs a retirement
+    would otherwise hide."""
+    for ci, scope in enumerate(s.scopes):
+        if len(scope) == 2:
+            if s.cons[ci] != TRUE:
+                compare_pair_run(s, ci, -1 if s._why[ci] is None else s._why[ci])
+            compare_pair_run(s, ci, -1, posted[ci])
+
+
+def compare_pair_run(s, ci, skip, phi=None):
+    """check_pair_runs for constraint ci, run with handle phi (None: its
+    own); _run_pair must store what _run stores: -1 for a failure, else
+    the constraint and domains it left, packed, which is also the entry
+    a hit would have replayed."""
+    store, memo, scope = s.store, s._prop_cache, s.scopes[ci]
+    key = s._pack(1 << 32 | ci, scope)
+    old = memo.pop(key, None)
+    # both runs see the same domain-update entries, so make the same calls
+    saved = dict(memo)
+    seen = []
+    for pair in (True, False):
+        memo.clear()
+        memo.update(saved)
+        m = s.mark()
+        if phi is not None:
+            s._set(s.cons, ci, phi)
+        if s._why[ci] is not None:
+            s.queue.remove(ci)
+            s._why[ci] = None
+        s._running = ci
+        log = []
+        spies = {n: partial(logged, log, n, getattr(store, n)) for n in ("and_exists", "apply_and")}
+        with mock.patch.multiple(store, **spies):
+            ok = s._run_pair(ci, skip, *scope) if pair else s._propagator(ci, skip)
+        s._running = -1
+        seen.append((ok, state_of(s), log))
+        if pair:
+            want = s._pack(s.cons[ci], scope) if ok else -1
+            assert memo[key] == want and old in (None, want), ci
+        s.undo(m)
+    assert seen[0] == seen[1], ci
+
+
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(steps=wake_steps)
+def test_a_pair_run_matches_the_general_run(mode, steps):
+    s = trail_problem(mode)
+    walk(s, steps, partial(check_pair_runs, s, list(s.cons)))
 
 
 @PROPERTY_SETTINGS

@@ -238,6 +238,29 @@ def test_run_memo_is_untracked_by_the_cycle_collector(mode):
     assert gc.is_tracked(st._prop_cache) is False
 
 
+# S(2,3,7) merged, all 30 solutions: fails, propagator runs, run-memo hits
+# and table nodes per mode.  Runs and hits move with the queue order, the
+# retirement rule and the run memo's keys, so a faster run path must leave
+# all four as they are.
+STEINER_237_COUNTS = {
+    "domain": (47, 1_426, 139, 7_980),
+    "bounds": (537, 3_128, 18_817, 6_408),
+    "split": (47, 1_426, 139, 7_980),
+    "card": (267, 2_814, 12_453, 9_621),
+    "lex": (76, 4_193, 1_146, 11_973),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_runs_memo_hits_and_nodes_are_pinned(mode):
+    model = build_steiner(SteinerSpec(2, 3, 7))
+    st = State(model.store, model.vars, model.constraints, mode=mode)
+    res = solve(st, model.strategy, branch_vars=model.branch_vars, all_solutions=True)
+    assert res.status == "all" and len(res.solutions) == 30
+    got = (res.fails, st.runs, st.cache_hits, model.store.node_count())
+    assert got == STEINER_237_COUNTS[mode]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_search_specialises_without_conjoining_sticks(mode, monkeypatch):
     # sticks of different variables range over disjoint bits, so a
